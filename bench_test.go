@@ -1,5 +1,6 @@
-// Package repro_bench exposes the evaluation workloads of EXPERIMENTS.md as
-// testing.B benchmarks — one benchmark family per experiment id (E1–E11).
+// Package repro_bench exposes the evaluation workloads of the experiment
+// suite (internal/experiments) as testing.B benchmarks — one benchmark
+// family per experiment id (E1–E11).
 // cmd/promise-bench prints the corresponding tables; these benches give
 // per-operation costs for the same code paths.
 //
@@ -510,7 +511,11 @@ func BenchmarkE11(b *testing.B) {
 func BenchmarkE12(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, err := promises.NewSharded(promises.ShardedConfig{Shards: shards, DefaultDuration: time.Hour})
+			s, err := promises.Open(promises.WithShards(shards), promises.WithDefaultDuration(time.Hour))
+			if err != nil {
+				b.Fatal(err)
+			}
+			seeder, err := promises.Seed(s)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -518,7 +523,7 @@ func BenchmarkE12(b *testing.B) {
 			names := make([]string, pools)
 			for i := range names {
 				names[i] = fmt.Sprintf("pool-%d", i)
-				if err := s.CreatePool(names[i], 1<<40, nil); err != nil {
+				if err := seeder.CreatePool(names[i], 1<<40, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

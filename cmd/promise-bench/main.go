@@ -1,6 +1,6 @@
-// Command promise-bench regenerates the evaluation tables recorded in
-// EXPERIMENTS.md. Each experiment (E1–E11) validates one claim from the
-// paper; DESIGN.md maps experiments to claims and modules.
+// Command promise-bench prints the evaluation tables of the experiment
+// suite (internal/experiments). Each experiment (E1–E11) validates one
+// claim from the paper.
 //
 // Usage:
 //

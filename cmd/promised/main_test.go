@@ -9,11 +9,11 @@ import (
 
 func newSharded(t *testing.T) *promises.ShardedManager {
 	t.Helper()
-	m, err := promises.NewSharded(promises.ShardedConfig{Shards: 4})
+	eng, err := promises.Open(promises.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return eng.(*promises.ShardedManager)
 }
 
 func TestSeedDatasets(t *testing.T) {

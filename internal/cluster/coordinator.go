@@ -385,7 +385,7 @@ func (c *Coordinator) Drain(ctx context.Context, src string) (stranded int, err 
 				if used[cand.Instance] || cand.Tentative {
 					continue
 				}
-				sat, eerr := predicate.Eval(exprs[sl.Expr], candEnv(cand))
+				sat, eerr := predicate.Eval(exprs[sl.Expr], candInstance(cand).Env())
 				if eerr != nil || !sat {
 					continue
 				}

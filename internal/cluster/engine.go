@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/predicate"
 )
 
 // CompositePrefix marks a cluster-composite promise id: a multi-node grant
@@ -19,14 +20,6 @@ import (
 // instance (or a fresh one) can expand it without shared directory state —
 // the part ids carry their home-node namespace ("n0!prm…").
 const CompositePrefix = "cx!"
-
-// reasonJointUnsat is the rejection reason a matching-mode engine emits
-// when floating predicates cannot be satisfied together with the
-// outstanding promises. It must match core's wording exactly: the engine
-// recognises it in a node's direct-path rejection as the signal to retry
-// the grant through the federated path, where every node's candidates are
-// in scope.
-const reasonJointUnsat = "property predicates not jointly satisfiable with outstanding promises"
 
 // Config configures a cluster Engine.
 type Config struct {
@@ -245,11 +238,7 @@ func (e *Engine) Execute(ctx context.Context, req core.Request) (*core.Response,
 	}
 
 	if !hasProps && len(nodes) <= 1 {
-		node := e.order[0]
-		for n := range nodes {
-			node = n
-		}
-		resp, err := e.ports[node].Execute(ctx, req)
+		resp, err := e.ports[e.soleNode(nodes)].Execute(ctx, req)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +248,7 @@ func (e *Engine) Execute(ctx context.Context, req core.Request) (*core.Response,
 		// message's releases and action have already been applied.
 		if e.mode == core.MatchingMode && len(req.Env) == 0 && req.ActionName == "" {
 			for i := range resp.Promises {
-				if !resp.Promises[i].Accepted && resp.Promises[i].Reason == reasonJointUnsat && i < len(req.PromiseRequests) {
+				if !resp.Promises[i].Accepted && resp.Promises[i].Reason == core.ReasonJointUnsat && i < len(req.PromiseRequests) {
 					fed, err := e.grantFed(ctx, req.Client, req.PromiseRequests[i])
 					if err == nil {
 						resp.Promises[i] = fed
@@ -282,6 +271,15 @@ func (e *Engine) Execute(ctx context.Context, req core.Request) (*core.Response,
 		out.Promises = append(out.Promises, resp)
 	}
 	return out, nil
+}
+
+// soleNode returns the one node in nodes, or the first member when nodes
+// is empty (a request naming no resource still needs a node to answer).
+func (e *Engine) soleNode(nodes map[string]bool) string {
+	for n := range nodes {
+		return n
+	}
+	return e.order[0]
 }
 
 func actionResources(params map[string]string) []string {
@@ -315,10 +313,7 @@ func (e *Engine) GrantBatch(ctx context.Context, client string, reqs []core.Prom
 func (e *Engine) grantOne(ctx context.Context, client string, pr core.PromiseRequest) (core.PromiseResponse, error) {
 	nodes, hasProps := e.scanPromiseRequest(pr)
 	if !hasProps && len(nodes) <= 1 {
-		node := e.order[0]
-		for n := range nodes {
-			node = n
-		}
+		node := e.soleNode(nodes)
 		resps, err := e.ports[node].GrantBatch(ctx, client, []core.PromiseRequest{pr})
 		if err != nil {
 			return core.PromiseResponse{}, err
@@ -327,7 +322,7 @@ func (e *Engine) grantOne(ctx context.Context, client string, pr core.PromiseReq
 			return core.PromiseResponse{}, fmt.Errorf("cluster: node %s returned %d responses, want 1", node, len(resps))
 		}
 		resp := resps[0]
-		if !resp.Accepted && resp.Reason == reasonJointUnsat && e.mode == core.MatchingMode {
+		if !resp.Accepted && resp.Reason == core.ReasonJointUnsat && e.mode == core.MatchingMode {
 			return e.grantFed(ctx, client, pr)
 		}
 		return resp, nil
@@ -421,27 +416,20 @@ func (e *Engine) tryFed(ctx context.Context, client string, pr core.PromiseReque
 			}
 		} else {
 			// Cluster-level pre-filter: skip nodes whose summary proves
-			// they cannot contribute — no slots to rearrange, and either
-			// nothing hostable or nothing the predicates' indexed values
-			// could match. A stale or unreadable summary keeps the node in.
+			// they cannot contribute — no slots to rearrange, and nothing
+			// hostable the predicates' indexed values could match. A stale
+			// or unreadable summary keeps the node in.
 			now := e.clk.Now()
+			exprs := make([]predicate.Expr, len(propIdx))
+			for k, i := range propIdx {
+				exprs[k] = pr.Predicates[i].Expr
+			}
 			for _, n := range e.order {
 				if involved[n] {
 					continue
 				}
 				sum, err := e.ports[n].FedSummary(ctx)
-				if err != nil || sum.Stale(now) || sum.Slots > 0 {
-					involved[n] = true
-					continue
-				}
-				may := false
-				for _, i := range propIdx {
-					if sum.Hostable > 0 && sum.MayHost(pr.Predicates[i].Expr) {
-						may = true
-						break
-					}
-				}
-				if may {
+				if err != nil || sum.MayContribute(now, exprs, true) {
 					involved[n] = true
 				} else {
 					pruned = true
@@ -523,7 +511,7 @@ func (e *Engine) tryFed(ctx context.Context, client string, pr core.PromiseReque
 		specs[n] = &core.FedConfirmSpec{}
 	}
 	if len(floating) > 0 {
-		plan, ok, err := solveClusterMatch(ctxs, pr.Predicates, floating, e.mode)
+		ok, err := matchAcrossNodes(ctxs, pr.Predicates, floating, e.mode, specs)
 		if err != nil {
 			abortAll()
 			return core.PromiseResponse{}, false, err
@@ -537,29 +525,7 @@ func (e *Engine) tryFed(ctx context.Context, client string, pr core.PromiseReque
 				at.widened = true
 				return core.PromiseResponse{}, true, nil
 			}
-			return reject("%s", reasonJointUnsat), false, nil
-		}
-		for n, ras := range plan.realloc {
-			specs[n].Realloc = ras
-		}
-		for _, mv := range plan.moves {
-			pid, ok := slotPromiseID(mv.slot.Key)
-			if !ok {
-				abortAll()
-				return core.PromiseResponse{}, false, fmt.Errorf("cluster: malformed slot key %q", mv.slot.Key)
-			}
-			specs[mv.from].MigrateOut = append(specs[mv.from].MigrateOut, pid)
-			specs[mv.to].MigrateIn = append(specs[mv.to].MigrateIn, core.FedMigrateIn{
-				ID:       pid,
-				Client:   mv.slot.Client,
-				Expr:     mv.slot.Expr,
-				Expires:  mv.slot.Expires,
-				Instance: mv.inst,
-				FromNode: mv.from,
-			})
-		}
-		for n, pins := range plan.pinned {
-			specs[n].Pinned = pins
+			return reject("%s", core.ReasonJointUnsat), false, nil
 		}
 	}
 

@@ -2,35 +2,23 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/matching"
 	"repro/internal/predicate"
 	"repro/internal/resource"
 )
 
-// This file is the cluster-side generalisation of core's globalmatch.go:
-// the same joint bipartite problem — existing property slots plus the
-// request's floating predicates against candidate instances — solved one
-// level up, at (node, shard) granularity over the FedContexts the member
-// nodes exported at reserve time.
-//
-// The pass structure mirrors the shard-level solver exactly:
-//
-//   - Pass 1 pins every existing slot to its exact (node, shard) home.
-//     When it saturates, nothing moves and each node's plan degenerates to
-//     pinned grants.
-//   - Pass 2 relaxes by migratability: a Migratable slot may re-home to
-//     any shard of its own node (the node converts the reallocation into
-//     an internal migration itself), and a CrossNode slot — a plain
-//     single-predicate property sub-promise, not a composite member — may
-//     re-home to any node, travelling by MigrateOut/MigrateIn with its
-//     promise id, client and expiry intact.
-//
-// Both passes seed with the current assignments, so only new predicates
-// and the slots they displace pay for augmenting-path searches.
+// This file lifts the joint property match to cluster granularity: the
+// FedContexts the member nodes exported at reserve time become located
+// slots and candidates — a node is a group, its shards are shards — and
+// core.SolveJoint places the request's floating predicates. A slot that is
+// not Migratable stays at its exact (node, shard) home; a Migratable one
+// may re-home to any shard of its own node (the node converts the
+// reallocation into an internal migration itself); a CrossNode one — a
+// plain single-predicate property sub-promise, not a composite member —
+// may re-home to any node, travelling by MigrateOut/MigrateIn with its
+// promise id, client and expiry intact.
 
 // floatRef is one new left vertex: a property predicate free to land
 // anywhere, or a deferred named predicate bound to exactly one instance.
@@ -45,21 +33,6 @@ type nodeContext struct {
 	fc   *core.FedContext
 }
 
-// slotMove re-homes one existing slot across nodes.
-type slotMove struct {
-	from, to string
-	slot     core.FedSlot
-	inst     string
-}
-
-// clusterPlan is a solved match, split per node into the confirm-spec
-// pieces the engine sends.
-type clusterPlan struct {
-	realloc map[string][]core.FedRealloc
-	moves   []slotMove
-	pinned  map[string][]core.FedPinned
-}
-
 // slotPromiseID extracts the promise id from a slot key ("<promise>#<idx>").
 func slotPromiseID(key string) (string, bool) {
 	i := strings.LastIndexByte(key, '#')
@@ -69,182 +42,90 @@ func slotPromiseID(key string) (string, bool) {
 	return key[:i], true
 }
 
-// candEnv rebuilds the evaluation environment of an exported candidate —
-// the same id/status builtins plus properties a local matcher sees.
-func candEnv(c core.FedCandidate) predicate.Env {
+// candInstance rebuilds an exported candidate as an instance — the same
+// id/status builtins plus properties a local matcher sees.
+func candInstance(c core.FedCandidate) *resource.Instance {
 	status := resource.Available
 	if c.Tentative {
 		status = resource.Promised
 	}
-	inst := resource.Instance{ID: c.Instance, Status: status, Props: c.Props}
-	return inst.Env()
+	return &resource.Instance{ID: c.Instance, Status: status, Props: c.Props}
 }
 
-// solveClusterMatch solves the joint property match over every exported
-// context. preds is the request's full predicate list; floating indexes
-// into it. Returns ok=false when the floating predicates are not jointly
-// satisfiable with the outstanding promises.
-func solveClusterMatch(ctxs []nodeContext, preds []core.Predicate, floating []floatRef, mode core.PropertyMode) (*clusterPlan, bool, error) {
-	type gSlot struct {
-		node string
-		slot core.FedSlot
-	}
-	type gCand struct {
-		node string
-		cand core.FedCandidate
-	}
-	var slots []gSlot
-	var cands []gCand
-	candIdx := make(map[string]int) // instance id -> right index (globally unique)
+// matchAcrossNodes solves the joint property match over every exported
+// context and writes the result into the nodes' confirm specs. preds is
+// the request's full predicate list; floating indexes into it. The
+// contexts arrive in node, shard and instance id order, which is the order
+// first-fit walks. It reports false when the floating predicates are not
+// jointly satisfiable with the outstanding promises.
+func matchAcrossNodes(ctxs []nodeContext, preds []core.Predicate, floating []floatRef, mode core.PropertyMode, specs map[string]*core.FedConfirmSpec) (bool, error) {
+	var exported []core.FedSlot
+	var slots []core.JointSlot
+	var cands []core.JointCand
 	exprs := make(map[string]predicate.Expr)
 	for _, nc := range ctxs {
 		if nc.fc == nil {
 			continue
 		}
 		for _, sl := range nc.fc.Slots {
-			if _, ok := exprs[sl.Expr]; !ok {
-				e, err := predicate.Parse(sl.Expr)
-				if err != nil {
-					return nil, false, fmt.Errorf("cluster: node %s slot %s: bad expression %q: %v", nc.node, sl.Key, sl.Expr, err)
+			e, ok := exprs[sl.Expr]
+			if !ok {
+				var err error
+				if e, err = predicate.Parse(sl.Expr); err != nil {
+					return false, fmt.Errorf("cluster: node %s slot %s: bad expression %q: %v", nc.node, sl.Key, sl.Expr, err)
 				}
 				exprs[sl.Expr] = e
 			}
-			slots = append(slots, gSlot{node: nc.node, slot: sl})
+			roam := core.RoamHome
+			if sl.Migratable {
+				roam = core.RoamGroup
+				if sl.CrossNode {
+					roam = core.RoamAny
+				}
+			}
+			exported = append(exported, sl)
+			slots = append(slots, core.JointSlot{Loc: core.Loc{Group: nc.node, Shard: sl.Shard}, Expr: e, Assigned: sl.Assigned, Roam: roam})
 		}
 		for _, c := range nc.fc.Candidates {
-			if _, dup := candIdx[c.Instance]; dup {
-				continue // two nodes exporting one instance id: first wins
-			}
-			candIdx[c.Instance] = len(cands)
-			cands = append(cands, gCand{node: nc.node, cand: c})
+			cands = append(cands, core.JointCand{Loc: core.Loc{Group: nc.node, Shard: c.Shard}, Inst: candInstance(c), Tentative: c.Tentative})
 		}
 	}
-
-	plan := &clusterPlan{
-		realloc: make(map[string][]core.FedRealloc),
-		pinned:  make(map[string][]core.FedPinned),
-	}
-	pin := func(node string, f floatRef, inst string) {
-		plan.pinned[node] = append(plan.pinned[node], core.FedPinned{
-			Predicate: preds[f.idx],
-			PredIdx:   f.idx,
-			Instance:  inst,
-		})
-	}
-
-	if mode == core.FirstFitMode {
-		// Greedy ablation: each new predicate binds to the first free
-		// satisfying instance in node, shard, id order; existing
-		// allocations never move (first-fit never displaces, so deferred
-		// named predicates cannot occur).
-		order := make([]int, len(cands))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ca, cb := cands[order[a]], cands[order[b]]
-			if ca.node != cb.node {
-				return ca.node < cb.node
-			}
-			if ca.cand.Shard != cb.cand.Shard {
-				return ca.cand.Shard < cb.cand.Shard
-			}
-			return ca.cand.Instance < cb.cand.Instance
-		})
-		used := make(map[int]bool)
-		for _, f := range floating {
-			found := -1
-			for _, j := range order {
-				if used[j] || cands[j].cand.Tentative {
-					continue
-				}
-				ok, err := predicate.Eval(preds[f.idx].Expr, candEnv(cands[j].cand))
-				if err != nil || !ok {
-					continue
-				}
-				found = j
-				break
-			}
-			if found < 0 {
-				return nil, false, nil
-			}
-			used[found] = true
-			pin(cands[found].node, f, cands[found].cand.Instance)
-		}
-		return plan, true, nil
-	}
-
-	nExist := len(slots)
-	edge := func(l, r int) bool {
-		if l >= nExist {
-			f := floating[l-nExist]
-			if f.named {
-				return cands[r].cand.Instance == preds[f.idx].Instance
-			}
-			ok, err := predicate.Eval(preds[f.idx].Expr, candEnv(cands[r].cand))
-			return err == nil && ok
-		}
-		ok, err := predicate.Eval(exprs[slots[l].slot.Expr], candEnv(cands[r].cand))
-		return err == nil && ok
-	}
-	seed := make([]int, nExist+len(floating))
-	for i := range seed {
-		seed[i] = matching.Unmatched
-	}
-	for i, sl := range slots {
-		if j, ok := candIdx[sl.slot.Assigned]; ok && sl.slot.Assigned != "" {
-			seed[i] = j
+	jp := make([]core.JointPred, len(floating))
+	for k, f := range floating {
+		if p := preds[f.idx]; f.named {
+			jp[k].Instance = p.Instance
+		} else {
+			jp[k].Expr = p.Expr
 		}
 	}
-
-	// Pass 1: existing slots pinned to their exact (node, shard) home.
-	pinnedM := matching.NewIncremental(nExist+len(floating), len(cands), func(l, r int) bool {
-		if l < nExist && (slots[l].node != cands[r].node || slots[l].slot.Shard != cands[r].cand.Shard) {
-			return false
-		}
-		return edge(l, r)
-	})
-	assign, ok := pinnedM.Solve(seed)
+	assign, ok := core.SolveJoint(slots, jp, cands, mode)
 	if !ok {
-		// Pass 2: migratable slots roam their node; cross-node slots roam
-		// the cluster. This is the single-store feasibility — boundaries
-		// stop constraining the match.
-		free := matching.NewIncremental(nExist+len(floating), len(cands), func(l, r int) bool {
-			if l < nExist {
-				sl, c := slots[l], cands[r]
-				switch {
-				case !sl.slot.Migratable:
-					if sl.node != c.node || sl.slot.Shard != c.cand.Shard {
-						return false
-					}
-				case !sl.slot.CrossNode:
-					if sl.node != c.node {
-						return false
-					}
-				}
-			}
-			return edge(l, r)
-		})
-		if assign, ok = free.Solve(seed); !ok {
-			return nil, false, nil
-		}
+		return false, nil
 	}
-
-	for i, sl := range slots {
-		c := cands[assign[i]]
-		newInst := c.cand.Instance
-		if newInst == sl.slot.Assigned {
+	for i, sl := range exported {
+		j := assign[i]
+		if j < 0 || cands[j].Inst.ID == sl.Assigned {
 			continue
 		}
-		if c.node == sl.node {
-			plan.realloc[sl.node] = append(plan.realloc[sl.node], core.FedRealloc{Slot: sl.slot.Key, Instance: newInst})
+		from, to, inst := slots[i].Loc.Group, cands[j].Loc.Group, cands[j].Inst.ID
+		if from == to {
+			specs[to].Realloc = append(specs[to].Realloc, core.FedRealloc{Slot: sl.Key, Instance: inst})
 			continue
 		}
-		plan.moves = append(plan.moves, slotMove{from: sl.node, to: c.node, slot: sl.slot, inst: newInst})
+		pid, ok := slotPromiseID(sl.Key)
+		if !ok {
+			return false, fmt.Errorf("cluster: malformed slot key %q", sl.Key)
+		}
+		specs[from].MigrateOut = append(specs[from].MigrateOut, pid)
+		specs[to].MigrateIn = append(specs[to].MigrateIn, core.FedMigrateIn{
+			ID: pid, Client: sl.Client, Expr: sl.Expr, Expires: sl.Expires, Instance: inst, FromNode: from,
+		})
 	}
 	for k, f := range floating {
-		c := cands[assign[nExist+k]]
-		pin(c.node, f, c.cand.Instance)
+		c := cands[assign[len(slots)+k]]
+		specs[c.Loc.Group].Pinned = append(specs[c.Loc.Group].Pinned, core.FedPinned{
+			Predicate: preds[f.idx], PredIdx: f.idx, Instance: c.Inst.ID,
+		})
 	}
-	return plan, true, nil
+	return true, nil
 }

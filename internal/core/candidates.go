@@ -87,23 +87,60 @@ type promContrib struct {
 	assigned  []string
 }
 
-// candSummary is the immutable published form of the index, read lock-free
-// by the cross-shard coordinator.
-type candSummary struct {
-	// Hostable counts instances this shard can offer the global property
+// NodeSummary is the immutable published form of a candidate index, read
+// lock-free by the pre-filter: one shard's, or — merged by FedSummary — a
+// whole node's, which lets a cluster engine skip nodes that provably
+// cannot contribute to a property match. JSON-encodable (predicate.Value
+// keys marshal as text) for the GET /cluster/summary endpoint.
+type NodeSummary struct {
+	// Hostable counts instances that can be offered to the joint property
 	// match (available + tentatively property-held).
 	Hostable int
-	// Slots counts active property-view slots on this shard.
+	// Slots counts active property-view slots.
 	Slots int
 	// Pinned counts instances held by active non-property promises, and
 	// MinPinnedExpiry is the earliest deadline among their holders. Past
 	// that instant the summary under-counts (a reservation's sweep would
 	// free the instance), so the pre-filter must stop trusting a
-	// cannot-contribute verdict for this shard.
+	// cannot-contribute verdict.
 	Pinned          int
 	MinPinnedExpiry time.Time
 	// ByProp counts hostable instances per property name and value.
 	ByProp map[string]map[predicate.Value]int
+}
+
+// MayHost conservatively reports whether the summarized shard or node
+// might host an instance satisfying e. Unindexable shapes report true.
+func (sum NodeSummary) MayHost(e predicate.Expr) bool {
+	may, ok := indexMay(e, sum.ByProp)
+	return !ok || may
+}
+
+// Stale reports whether the summary's cannot-contribute verdicts are no
+// longer trustworthy at now: pinned instances past their holder's
+// deadline would be freed by a reservation's sweep.
+func (sum NodeSummary) Stale(now time.Time) bool {
+	return sum.Pinned > 0 && !now.Before(sum.MinPinnedExpiry)
+}
+
+// MayContribute conservatively reports whether the summarized shard or
+// node could add anything to a joint match over exprs. A slot to
+// rearrange or a stale summary always may. Otherwise it takes a hostable
+// instance: with valuePrune, only one the per-value index says might
+// satisfy one of exprs.
+func (sum NodeSummary) MayContribute(now time.Time, exprs []predicate.Expr, valuePrune bool) bool {
+	if sum.Slots > 0 || sum.Stale(now) {
+		return true
+	}
+	if sum.Hostable == 0 || !valuePrune {
+		return sum.Hostable > 0
+	}
+	for _, e := range exprs {
+		if sum.MayHost(e) {
+			return true
+		}
+	}
+	return false
 }
 
 // candidateIndex is the mutable master state. It is only ever touched by
@@ -122,7 +159,7 @@ type candidateIndex struct {
 	// touched property instead of the whole ByProp tree (per-property
 	// copy-on-write, mirroring the store snapshots' bucketed COW).
 	dirty   map[string]struct{}
-	summary atomic.Pointer[candSummary]
+	summary atomic.Pointer[NodeSummary]
 }
 
 // CandidateSummary returns the manager's current candidate-index summary
@@ -348,7 +385,7 @@ func (m *Manager) candClassify(snap *txn.Snapshot, id string) (instContrib, *res
 func (m *Manager) candPublish() {
 	c := &m.cand
 	prev := c.summary.Load()
-	s := &candSummary{
+	s := &NodeSummary{
 		Hostable: c.hostable,
 		Slots:    c.slots,
 		Pinned:   len(c.pinned),

@@ -225,7 +225,7 @@ func (m *Manager) planInner(ctx context.Context, tx *txn.Tx, st *execState, pred
 				return nil, "", nil, err
 			}
 			if !feasible {
-				return nil, "property predicates not jointly satisfiable with outstanding promises", nil, nil
+				return nil, ReasonJointUnsat, nil, nil
 			}
 			return plan, "", nil, nil
 		}
@@ -357,7 +357,7 @@ func (m *Manager) planInner(ctx context.Context, tx *txn.Tx, st *execState, pred
 	}
 	assignment, ok := newLazyMatcher(exprs, right).solve(initial)
 	if !ok {
-		return nil, "property predicates not jointly satisfiable with outstanding promises", nil, nil
+		return nil, ReasonJointUnsat, nil, nil
 	}
 	for k, s := range activeProps {
 		if assignment[k] != s.assigned {

@@ -38,9 +38,8 @@ type Supplier interface {
 }
 
 // ManagerSupplier adapts a local Manager into a Supplier, letting tests and
-// examples build merchant→distributor chains in-process; the transport
-// package provides the cross-process equivalent (RemoteSupplier), and the
-// two are interchangeable because both front a promises-style Engine.
+// examples build merchant→distributor chains in-process; across processes,
+// promises.EngineSupplier fronts a transport client the same way.
 type ManagerSupplier struct {
 	// M is the upstream manager.
 	M *Manager

@@ -46,3 +46,9 @@ var (
 	// a log re-probe succeeds (see DurabilityOptions.ReprobeEvery).
 	ErrDegraded = errors.New("core: engine degraded (persistence failing); read-only until the log recovers")
 )
+
+// ReasonJointUnsat is the rejection reason for property predicates that
+// cannot be satisfied together with the outstanding promises. A cluster
+// engine recognises it in a node's rejection as the signal to retry the
+// grant with every node's candidates in scope.
+const ReasonJointUnsat = "property predicates not jointly satisfiable with outstanding promises"

@@ -3,19 +3,17 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/ids"
 	"repro/internal/predicate"
 )
 
 // This file is the node-side half of cluster federation: a wire-facing
-// wrapper around the PR 2 reserve/confirm pipeline that lets a *remote*
-// coordinator (cluster.Engine, or the drain path of cluster.Coordinator)
-// drive this node's shards as one participant of a cross-node two-phase
-// grant. FedReserve opens a session — shard locks held, per-shard
+// wrapper around the reserve/confirm pipeline of pipeline.go that lets a
+// *remote* coordinator (cluster.Engine, or the drain path of
+// cluster.Coordinator) drive this node's shards as one participant of a
+// cross-node two-phase grant. FedReserve opens a session — shard locks held, per-shard
 // reservations open, fixed predicates tentatively granted — and exports the
 // node's property-match state (slots + candidates) so the caller can solve
 // the joint bipartite problem across nodes. FedConfirm applies the caller's
@@ -172,24 +170,12 @@ type FedConfirmSpec struct {
 }
 
 // fedSession is one open federated reservation: the shard locks are held
-// (unlock releases them), the per-shard reservations are open, and the TTL
-// alarm aborts the session if the caller never returns.
+// (unlock releases them), the grant's per-shard reservations are open, and
+// the TTL alarm aborts the session if the caller never returns.
 type fedSession struct {
-	client    string
-	unlock    func()
-	resvs     map[int]*Reservation
-	durCapped time.Duration
-	stopTTL   func()
-}
-
-// fedState lazily holds the session table on a ShardedManager.
-func (s *ShardedManager) fedInit() {
-	s.fedMu.Lock()
-	if s.fedSessions == nil {
-		s.fedSessions = make(map[string]*fedSession)
-		s.fedIDs = ids.New(s.ns + "fed")
-	}
-	s.fedMu.Unlock()
+	g       *crossGrant
+	unlock  func()
+	stopTTL func()
 }
 
 // FedReserve opens a federated session: it locks every shard, applies the
@@ -208,158 +194,64 @@ func (s *ShardedManager) FedReserve(ctx context.Context, client string, spec Fed
 	if err := s.health.reject(); err != nil {
 		return nil, err
 	}
-	reject := func(format string, args ...any) *FedReserveResult {
-		return &FedReserveResult{Reject: &PromiseResponse{Reason: fmt.Sprintf(format, args...)}}
-	}
 	if len(spec.Predicates) != len(spec.PredIdx) {
 		return nil, fmt.Errorf("%w: fed reserve: %d predicates, %d positions", ErrBadRequest, len(spec.Predicates), len(spec.PredIdx))
-	}
-	for _, p := range spec.Predicates {
-		if err := p.Validate(); err != nil {
-			return reject("invalid predicate %s: %v", p, err), nil
-		}
-	}
-	s.fedInit()
-
-	// Release targets route to their shards; composite targets expand.
-	relByShard := make(map[int][]string)
-	for _, rid := range spec.Releases {
-		if isCompositeID(rid) {
-			c := s.lookupComposite(client, rid)
-			if c == nil {
-				return reject("release target %s: %v", rid, fmt.Errorf("%w: %s", ErrPromiseNotFound, rid)), nil
-			}
-			for _, part := range c.parts {
-				relByShard[part.shard] = append(relByShard[part.shard], part.id)
-			}
-			continue
-		}
-		sh, ok := s.ownerShard(rid)
-		if !ok {
-			return reject("release target %s: %v", rid, fmt.Errorf("%w: %s", ErrPromiseNotFound, rid)), nil
-		}
-		relByShard[sh] = append(relByShard[sh], rid)
-	}
-
-	durCapped, durReason := s.shards[0].m.grantDuration(ctx, spec.Duration, spec.MinDuration)
-	if durReason != "" {
-		s.shards[0].m.metrics.requests.Inc()
-		s.shards[0].m.metrics.rejections.Inc()
-		return reject("%s", durReason), nil
 	}
 
 	// A federated session holds every shard lock: cross-node grants are
 	// rare next to their own network round trips, and the full set makes
 	// the pre-filter clamp vacuous (no widen signal can reach the wire).
-	unlock := s.lockShards(s.allShards())
+	// Property predicates are never granted at reserve — they float in the
+	// caller's joint match.
+	all := s.allShards()
+	unlock := s.lockShards(all)
 	done := false
 	defer func() {
 		if !done {
 			unlock()
 		}
 	}()
-
-	// Partition predicates under the locks (the named-deferral peek must
-	// be stable through commit). Property predicates are never granted at
-	// reserve — they float in the caller's joint match.
-	fixed := make(map[int][]int) // shard -> positions in spec.Predicates
-	var floating []floatPred     // positions in spec.Predicates
-	var deferred []int           // original request positions
-	for i, p := range spec.Predicates {
-		switch p.View {
-		case AnonymousView:
-			fixed[s.ShardOf(p.Pool)] = append(fixed[s.ShardOf(p.Pool)], i)
-		case NamedView:
-			if s.mode == MatchingMode {
-				held, err := s.shards[s.ShardOf(p.Instance)].m.propertySlotHolder(p.Instance)
-				if err != nil {
-					return nil, err
-				}
-				if held {
-					floating = append(floating, floatPred{idx: i, named: true})
-					deferred = append(deferred, spec.PredIdx[i])
-					continue
-				}
-			}
-			fixed[s.ShardOf(p.Instance)] = append(fixed[s.ShardOf(p.Instance)], i)
-		case PropertyView:
-			floating = append(floating, floatPred{idx: i})
-		}
+	g, reason, err := s.newCrossGrant(ctx, client, spec.Predicates, spec.PredIdx, spec.Releases, ReserveRequest{
+		Duration:    spec.Duration,
+		MinDuration: spec.MinDuration,
+		Priority:    spec.Priority,
+		Preemptible: spec.Preemptible,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if reason != "" {
+		return &FedReserveResult{Reject: &PromiseResponse{Reason: reason}}, nil
+	}
+	involved, err := s.involvedShards(g, spec.WantProps, all)
+	if err != nil {
+		return nil, err
+	}
+	rej, err := s.reserveShards(ctx, g, involved)
+	if err != nil {
+		return nil, err
+	}
+	if rej != nil {
+		return &FedReserveResult{Reject: rej}, nil
 	}
 
-	involved := make(map[int]bool)
-	for sh := range relByShard {
-		involved[sh] = true
+	res := &FedReserveResult{}
+	for _, sh := range sortedKeys(g.resvs) {
+		res.Granted = append(res.Granted, g.resvs[sh].Granted()...)
 	}
-	for sh := range fixed {
-		involved[sh] = true
-	}
-	if len(floating) > 0 || spec.WantProps {
-		pseudo := PromiseRequest{Predicates: spec.Predicates}
-		for sh := range s.contributingShards(pseudo, floating) {
-			involved[sh] = true
-		}
-		if skipped := len(s.shards) - len(involved); skipped > 0 {
-			s.prefilterSkipped.Add(int64(skipped))
+	for _, f := range g.floating {
+		if f.named {
+			res.Deferred = append(res.Deferred, g.orig(f.idx))
 		}
 	}
-	if len(involved) == 0 {
-		// Nothing fixed, released or contributing: reserve shard 0 so the
-		// session still has a transaction to answer through.
-		involved[0] = true
-	}
-
-	resvs := make(map[int]*Reservation)
-	abortAll := func() {
-		for _, sh := range sortedKeys(resvs) {
-			resvs[sh].Abort()
-		}
-	}
-	var granted []GrantedPart
-	for _, sh := range sortedKeys(involved) {
-		if err := ctx.Err(); err != nil {
-			abortAll()
+	if spec.WantProps || len(res.Deferred) > 0 {
+		if res.Context, err = s.fedContext(g.resvs); err != nil {
+			abortAll(g.resvs)
 			return nil, err
 		}
-		idxs := fixed[sh]
-		preds := make([]Predicate, len(idxs))
-		orig := make([]int, len(idxs))
-		for j, idx := range idxs {
-			preds[j] = spec.Predicates[idx]
-			orig[j] = spec.PredIdx[idx]
-		}
-		resv, rejResp, err := s.shards[sh].m.Reserve(ctx, client, ReserveRequest{
-			Releases:    relByShard[sh],
-			Predicates:  preds,
-			PredIdx:     orig,
-			Duration:    spec.Duration,
-			MinDuration: spec.MinDuration,
-			Priority:    spec.Priority,
-			Preemptible: spec.Preemptible,
-		})
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		if rejResp != nil {
-			abortAll()
-			return &FedReserveResult{Reject: rejResp}, nil
-		}
-		resvs[sh] = resv
-		granted = append(granted, resv.Granted()...)
 	}
 
-	res := &FedReserveResult{Granted: granted, Deferred: deferred}
-	if spec.WantProps || len(deferred) > 0 {
-		fc, err := s.fedContext(resvs)
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		res.Context = fc
-	}
-
-	sess := &fedSession{client: client, unlock: unlock, resvs: resvs, durCapped: durCapped}
+	sess := &fedSession{g: g, unlock: unlock}
 	ttl := spec.TTL
 	if ttl <= 0 {
 		ttl = DefaultFedTTL
@@ -398,16 +290,13 @@ func (s *ShardedManager) fedContext(resvs map[int]*Reservation) (*FedContext, er
 			if err != nil {
 				return nil, fmt.Errorf("core: slot %s: %w", slot.Key, err)
 			}
-			s.dirMu.Lock()
-			_, member := s.partOf[pid]
-			s.dirMu.Unlock()
 			out.Slots = append(out.Slots, FedSlot{
 				Key:        slot.Key,
 				Expr:       slot.Expr.String(),
 				Assigned:   slot.Assigned,
 				Shard:      sh,
 				Migratable: slot.Migratable,
-				CrossNode:  slot.Migratable && !member,
+				CrossNode:  slot.Migratable && !s.isPart(pid),
 				Client:     p.Client,
 				Expires:    p.Expires,
 			})
@@ -437,241 +326,109 @@ func (s *ShardedManager) claimFedSession(id string) *fedSession {
 }
 
 // FedConfirm applies the caller's plan through the session's open
-// reservations and commits, mirroring a local pipeline's Phase 2/3:
-// detachments strictly before attachments, confirms in ascending shard
-// order, directory and expiry bookkeeping after the commits. It returns
-// every part this session granted (reserve-time fixed parts plus the
-// pinned grants), in shard order.
+// reservations and commits, exactly as a local pipeline's Phase 2/3 does
+// (applyPlan, confirmPlan). The plan arrives at node granularity, so the
+// wire-facing work is here: reallocations that cross shards become
+// internal migrations, and slots arriving from other nodes are rebuilt
+// from their wire fields. It returns every part this session granted
+// (reserve-time fixed parts plus the pinned grants), in shard order.
 func (s *ShardedManager) FedConfirm(ctx context.Context, sessionID string, spec FedConfirmSpec) ([]GrantedPart, error) {
 	sess := s.claimFedSession(sessionID)
 	if sess == nil {
 		return nil, fmt.Errorf("%w: fed session %s (expired or finished)", ErrPromiseNotFound, sessionID)
 	}
 	defer sess.unlock()
-	abortAll := func() {
-		for _, sh := range sortedKeys(sess.resvs) {
-			sess.resvs[sh].Abort()
-		}
-	}
+	g := sess.g
 	// A node that degraded after reserving refuses the commit and hands
 	// the reservations back; the coordinator node sees a plain failed
 	// confirm and compensates as usual.
 	if err := s.health.reject(); err != nil {
-		abortAll()
+		abortAll(g.resvs)
 		return nil, err
 	}
-	resvFor := func(sh int) (*Reservation, error) {
-		if r := sess.resvs[sh]; r != nil {
-			return r, nil
-		}
-		return nil, fmt.Errorf("core: fed confirm touches unreserved shard %d", sh)
-	}
-	if err := ctx.Err(); err != nil {
-		abortAll()
+	plan, err := s.fedPlan(spec)
+	if err != nil {
+		abortAll(g.resvs)
 		return nil, err
 	}
-
-	// Classify reallocations: same-shard entries apply in place, cross-
-	// shard entries become internal migrations (the caller plans at node
-	// granularity; shards are this node's business).
-	realloc := make(map[int]map[string]string)
-	var internal []slotMigration
-	for _, ra := range spec.Realloc {
-		pid, _, ok := parseSlotKey(ra.Slot)
-		if !ok {
-			abortAll()
-			return nil, fmt.Errorf("%w: malformed slot key %q", ErrBadRequest, ra.Slot)
-		}
-		from, ok := s.ownerShard(pid)
-		if !ok {
-			abortAll()
-			return nil, fmt.Errorf("%w: realloc of unknown promise %s", ErrBadRequest, pid)
-		}
-		to := s.ShardOf(ra.Instance)
-		if from == to {
-			if realloc[from] == nil {
-				realloc[from] = make(map[string]string)
-			}
-			realloc[from][ra.Slot] = ra.Instance
-			continue
-		}
-		internal = append(internal, slotMigration{promiseID: pid, from: from, to: to, inst: ra.Instance})
+	if err := applyPlan(g.resvs, plan, g.durCapped); err != nil {
+		return nil, err
 	}
-
-	// Detach: slots leaving the node, then slots moving between shards.
-	outRows := make([]*Promise, len(spec.MigrateOut))
-	for i, id := range spec.MigrateOut {
-		sh, ok := s.ownerShard(id)
-		if !ok {
-			abortAll()
-			return nil, fmt.Errorf("%w: migrate-out of unknown promise %s", ErrBadRequest, id)
-		}
-		resv, err := resvFor(sh)
-		if err == nil {
-			outRows[i], err = resv.MigrateOut(id)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	outShards := make([]int, len(spec.MigrateOut))
-	for i, id := range spec.MigrateOut {
-		outShards[i], _ = s.ownerShard(id)
-	}
-	internalRows := make([]*Promise, len(internal))
-	for i, mg := range internal {
-		resv, err := resvFor(mg.from)
-		if err == nil {
-			internalRows[i], err = resv.MigrateOut(mg.promiseID)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-
-	// Re-back in place.
-	for _, sh := range sortedKeys(realloc) {
-		resv, err := resvFor(sh)
-		if err == nil {
-			err = resv.ApplyRealloc(realloc[sh])
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-
-	// Attach: internal movers, then slots arriving from other nodes, then
-	// the pinned grants of the new request.
-	for i, mg := range internal {
-		resv, err := resvFor(mg.to)
-		if err == nil {
-			err = resv.MigrateIn(internalRows[i], mg.inst)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	inShards := make([]int, len(spec.MigrateIn))
-	for i, mi := range spec.MigrateIn {
-		expr, err := predicate.Parse(mi.Expr)
-		if err != nil {
-			abortAll()
-			return nil, fmt.Errorf("%w: migrate-in %s: bad expression %q: %v", ErrBadRequest, mi.ID, mi.Expr, err)
-		}
-		sh := s.ShardOf(mi.Instance)
-		inShards[i] = sh
-		row := &Promise{
-			ID:           mi.ID,
-			Client:       mi.Client,
-			Predicates:   []Predicate{{View: PropertyView, Expr: expr, Source: mi.Expr}},
-			Assigned:     []string{""},
-			DelegatedQty: make([]int64, 1),
-			DelegatedID:  make([]string, 1),
-			Expires:      mi.Expires,
-			State:        Active,
-		}
-		resv, err := resvFor(sh)
-		if err == nil {
-			err = resv.MigrateIn(row, mi.Instance)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	for _, pin := range spec.Pinned {
-		sh := s.ShardOf(pin.Instance)
-		resv, err := resvFor(sh)
-		if err == nil {
-			err = resv.GrantPinned([]Predicate{pin.Predicate}, []int{pin.PredIdx}, []string{pin.Instance}, sess.durCapped)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-
-	// Commit, ascending. Any migration (internal or federated) brackets
-	// the confirms in the seqlock so lock-free readers can tell a racing
-	// re-home from a definitive not-found.
-	migrating := len(internal) > 0 || len(spec.MigrateOut) > 0 || len(spec.MigrateIn) > 0
-	if migrating {
-		s.migSeq.Add(1)
-	}
-	var confirmed []compositePart
-	var parts []GrantedPart
-	for _, sh := range sortedKeys(sess.resvs) {
-		granted := sess.resvs[sh].Granted()
-		if err := sess.resvs[sh].Confirm(); err != nil {
-			if migrating {
-				s.migSeq.Add(1)
-			}
-			abortAll()
-			s.releaseParts(sess.client, confirmed)
-			return nil, err
-		}
-		for _, g := range granted {
-			confirmed = append(confirmed, compositePart{shard: sh, id: g.ID, predIdx: g.PredIdx, expires: g.Expires})
-		}
-		parts = append(parts, granted...)
-	}
-	s.commitMoves(internal)
-	// Federated moves: arrivals route through the moved directory (their
-	// id prefix is another node's); departures retire any moved entry so
-	// this node answers not-found and the caller's broadcast finds the
-	// promise at its new home.
-	s.dirMu.Lock()
-	for i, mi := range spec.MigrateIn {
-		s.moved.Store(mi.ID, inShards[i])
-	}
-	for _, id := range spec.MigrateOut {
-		s.moved.Delete(id)
-	}
-	s.dirMu.Unlock()
-	for i, mi := range spec.MigrateIn {
-		s.logDirMove(mi.ID, inShards[i])
-	}
-	for _, id := range spec.MigrateOut {
-		s.logDirMove(id, -1)
-	}
-	if migrating {
-		s.migSeq.Add(1)
-	}
-
-	now := s.clk.Now()
-	var events []Event
-	for i, mg := range internal {
-		row := internalRows[i]
-		s.shards[mg.to].m.trackExpiry(row.ID, row.Expires)
-		events = append(events, Event{
-			Type: EventMigrated, PromiseID: row.ID, Client: row.Client,
-			Time: now, Expires: row.Expires,
-			Reason: fmt.Sprintf("slot moved from shard %d to shard %d", mg.from, mg.to),
-		})
-	}
-	for i, mi := range spec.MigrateIn {
-		s.shards[inShards[i]].m.trackExpiry(mi.ID, mi.Expires)
-		from := mi.FromNode
-		if from == "" {
-			from = "another node"
-		}
-		events = append(events, Event{
-			Type: EventMigrated, PromiseID: mi.ID, Client: mi.Client,
-			Time: now, Expires: mi.Expires,
-			Reason: fmt.Sprintf("slot moved from node %s to node %s", from, strings.TrimSuffix(s.ns, "!")),
-		})
-	}
-	if len(events) > 0 {
-		s.bus.publish(events...)
+	confirmed, err := s.confirmPlan(ctx, g.client, g.resvs, plan.moves)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.durSync(); err != nil {
 		return nil, fmt.Errorf("core: commit not durable: %w", err)
 	}
+	parts := make([]GrantedPart, len(confirmed))
+	for i, c := range confirmed {
+		parts[i] = GrantedPart{ID: c.id, PredIdx: c.predIdx, Expires: c.expires}
+	}
 	return parts, nil
+}
+
+// fedPlan turns a node-level confirm spec into this node's plan. Moves are
+// ordered so detachments run slots leaving the node before slots moving
+// between its shards, and attachments run those movers before slots
+// arriving from other nodes.
+func (s *ShardedManager) fedPlan(spec FedConfirmSpec) (*matchPlan, error) {
+	plan := &matchPlan{realloc: make(map[int]map[string]string)}
+	for _, id := range spec.MigrateOut {
+		from, ok := s.ownerShard(id)
+		if !ok {
+			return nil, fmt.Errorf("%w: migrate-out of unknown promise %s", ErrBadRequest, id)
+		}
+		plan.moves = append(plan.moves, slotMigration{promiseID: id, from: from, to: -1})
+	}
+	// Same-shard reallocations apply in place; cross-shard ones become
+	// internal migrations (the caller plans at node granularity; shards
+	// are this node's business).
+	for _, ra := range spec.Realloc {
+		pid, _, ok := parseSlotKey(ra.Slot)
+		if !ok {
+			return nil, fmt.Errorf("%w: malformed slot key %q", ErrBadRequest, ra.Slot)
+		}
+		from, ok := s.ownerShard(pid)
+		if !ok {
+			return nil, fmt.Errorf("%w: realloc of unknown promise %s", ErrBadRequest, pid)
+		}
+		if to := s.ShardOf(ra.Instance); to != from {
+			plan.moves = append(plan.moves, slotMigration{promiseID: pid, from: from, to: to, inst: ra.Instance})
+			continue
+		}
+		if plan.realloc[from] == nil {
+			plan.realloc[from] = make(map[string]string)
+		}
+		plan.realloc[from][ra.Slot] = ra.Instance
+	}
+	for _, mi := range spec.MigrateIn {
+		expr, err := predicate.Parse(mi.Expr)
+		if err != nil {
+			return nil, fmt.Errorf("%w: migrate-in %s: bad expression %q: %v", ErrBadRequest, mi.ID, mi.Expr, err)
+		}
+		from := mi.FromNode
+		if from == "" {
+			from = "another node"
+		}
+		plan.moves = append(plan.moves, slotMigration{
+			promiseID: mi.ID, from: -1, to: s.ShardOf(mi.Instance), inst: mi.Instance, fromNode: from,
+			row: &Promise{
+				ID:           mi.ID,
+				Client:       mi.Client,
+				Predicates:   []Predicate{{View: PropertyView, Expr: expr, Source: mi.Expr}},
+				Assigned:     []string{""},
+				DelegatedQty: make([]int64, 1),
+				DelegatedID:  make([]string, 1),
+				Expires:      mi.Expires,
+				State:        Active,
+			},
+		})
+	}
+	for _, pin := range spec.Pinned {
+		plan.pins = append(plan.pins, pinnedGrant{shard: s.ShardOf(pin.Instance), pred: pin.Predicate, idx: pin.PredIdx, inst: pin.Instance})
+	}
+	return plan, nil
 }
 
 // FedAbort rolls back an open session, releasing its shard locks.
@@ -682,9 +439,7 @@ func (s *ShardedManager) FedAbort(sessionID string) {
 	if sess == nil {
 		return
 	}
-	for _, sh := range sortedKeys(sess.resvs) {
-		sess.resvs[sh].Abort()
-	}
+	abortAll(sess.g.resvs)
 	sess.unlock()
 }
 
@@ -701,26 +456,6 @@ func (s *ShardedManager) FedAbortAll() {
 	for _, id := range ids {
 		s.FedAbort(id)
 	}
-}
-
-// NodeSummary aggregates the node's per-shard candidate-index summaries —
-// the PR 5/7 pre-filter lifted to cluster granularity, so a cluster
-// engine can skip nodes that provably cannot contribute to a property
-// match. JSON-encodable (predicate.Value keys marshal as text) for the
-// GET /cluster/summary endpoint.
-type NodeSummary struct {
-	// Hostable counts instances that could host a property slot.
-	Hostable int
-	// Slots counts active property slots.
-	Slots int
-	// Pinned and MinPinnedExpiry carry the staleness signal: with pinned
-	// instances at or past MinPinnedExpiry, a cannot-contribute verdict
-	// is no longer trustworthy.
-	Pinned          int
-	MinPinnedExpiry time.Time
-	// ByProp is the per-value hostable-candidate index, merged across
-	// shards.
-	ByProp map[string]map[predicate.Value]int
 }
 
 // FedSummary snapshots the node's candidate summaries, lock-free.
@@ -748,18 +483,4 @@ func (s *ShardedManager) FedSummary() NodeSummary {
 		}
 	}
 	return out
-}
-
-// MayHost conservatively reports whether the summarized node might host an
-// instance satisfying e — the tier-2 value-pruning answer at node
-// granularity. Unindexable shapes report true.
-func (sum NodeSummary) MayHost(e predicate.Expr) bool {
-	may, ok := indexMay(e, sum.ByProp)
-	return !ok || may
-}
-
-// Stale reports whether the summary's cannot-contribute verdicts are
-// trustworthy at now (see candSummary staleness in candidates.go).
-func (sum NodeSummary) Stale(now time.Time) bool {
-	return sum.Pinned > 0 && !now.Before(sum.MinPinnedExpiry)
 }

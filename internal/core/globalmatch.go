@@ -3,223 +3,193 @@ package core
 import (
 	"repro/internal/matching"
 	"repro/internal/predicate"
+	"repro/internal/resource"
 )
 
-// This file is the coordinator-side half of cross-shard property matching.
-// A property predicate can be satisfied by an instance on any shard, and
-// admitting it may require rearranging the tentative allocations of
-// promises that live on other shards (§5). The coordinator reads every
-// involved shard's matching state through its open reservation and solves
-// one joint bipartite problem:
+// This file holds the one joint property solver. A property predicate can
+// be satisfied by any instance that hosts it, and admitting it may require
+// rearranging the tentative allocations of promises that live elsewhere
+// (§5), so every grant that places property predicates solves one
+// bipartite problem:
 //
-//   - left vertices: every existing active property slot on every shard,
-//     followed by the request's new property predicates and its deferred
-//     named predicates (named predicates whose instance is tentatively
-//     allocated to a property promise — granting them means displacing
-//     that allocation, which is itself a global matching decision);
-//   - right vertices: every candidate instance on every shard;
+//   - left vertices: every existing active property slot, followed by the
+//     request's new property predicates and its deferred named predicates
+//     (named predicates whose instance is tentatively allocated to a
+//     property promise — granting them means displacing that allocation,
+//     which is itself a joint matching decision);
+//   - right vertices: every candidate instance;
 //   - edges: predicate satisfaction for property slots, identity for named
 //     predicates.
 //
-// The solve runs in two passes. Pass 1 pins every existing slot to its own
-// shard: when it saturates — the common case — no allocation crosses a
-// shard boundary and the plan degenerates to per-shard reallocations.
-// Pass 2 lets existing single-predicate slots roam: a slot whose best host
-// now lives on another shard is re-homed there through the reservation
-// pipeline (MigrateOut/MigrateIn), keeping its promise id, client and
-// expiry. Pass 2 accepts exactly the set of requests a single store
-// accepts, because with migration the shard boundaries stop constraining
-// the matching at all.
+// Slots and candidates are located at (group, shard): the single store is
+// one location, a ShardedManager's shards are locations of group "", and
+// a cluster's nodes are groups. The solve runs in two passes. Pass 1 pins
+// every existing slot to its exact home: when it saturates — the common
+// case — no allocation crosses a shard boundary. Pass 2 lets each slot
+// roam as far as it says it may (its group, or anywhere); a slot whose
+// best host lives elsewhere is then re-homed by the caller, keeping its
+// promise id, client and expiry. With every slot free to roam, pass 2 is
+// the exact single-store feasibility: location boundaries stop
+// constraining the match.
 //
 // Both passes are seeded with the current assignments, so by the
 // augmenting-path theorem only the new predicates (and any slots they
 // displace) pay for path searches, and edges are evaluated lazily via
-// matching.Incremental — the cross-shard generalisation of lazymatch.go.
+// matching.Incremental.
 
-// shardFloatPlan is one shard's slice of a solved global match: existing
-// slots to move within the shard, plus new predicates to grant pinned to
-// chosen instances (one single-predicate sub-promise each, so the slot
-// stays migratable later).
-type shardFloatPlan struct {
-	realloc map[string]string
-	preds   []Predicate
-	predIdx []int
-	assign  []string
+// Loc locates a slot or candidate: a group (a cluster node; "" in
+// process) and a shard within it.
+type Loc struct {
+	Group string
+	Shard int
 }
 
-// slotMigration re-homes one existing property sub-promise: its tag moves
-// from inst on shard from to inst on shard to.
-type slotMigration struct {
-	promiseID string
-	from, to  int
-	inst      string
+// Roam says how far the joint match may move an existing slot.
+type Roam int
+
+const (
+	// RoamHome keeps the slot at its exact (group, shard) home.
+	RoamHome Roam = iota
+	// RoamGroup lets the slot move to any shard of its own group.
+	RoamGroup
+	// RoamAny lets the slot move anywhere.
+	RoamAny
+)
+
+// allows reports whether a slot homed at home may land at at.
+func (r Roam) allows(home, at Loc) bool {
+	switch r {
+	case RoamAny:
+		return true
+	case RoamGroup:
+		return home.Group == at.Group
+	}
+	return home == at
 }
 
-// floatPred is one new left vertex of the joint match: a property
-// predicate free to land anywhere, or a deferred named predicate bound to
-// exactly one instance.
-type floatPred struct {
-	idx   int // position in the original request
-	named bool
+// JointSlot is one existing property slot: a left vertex seeded with the
+// instance currently backing it.
+type JointSlot struct {
+	Loc      Loc
+	Expr     predicate.Expr
+	Assigned string
+	Roam     Roam
 }
 
-// solveFloatAssignment solves the joint property match for the request's
-// floating predicates over every reserved shard. It returns the per-shard
-// plans plus any cross-shard migrations of existing slots, or ok=false
-// when the predicates are not jointly satisfiable with the outstanding
-// promises.
-func (s *ShardedManager) solveFloatAssignment(resvs map[int]*Reservation, pr PromiseRequest, floating []floatPred, mode PropertyMode) (map[int]*shardFloatPlan, []slotMigration, bool, error) {
-	type gSlot struct {
-		shard int
-		slot  PropertySlot
-	}
-	type gCand struct {
-		shard int
-		cand  PropertyCandidate
-	}
-	var slots []gSlot
-	var cands []gCand
-	candIdx := make(map[string]int) // instance id -> right index (ids are globally unique)
-	for _, sh := range sortedKeys(resvs) {
-		ctx, err := resvs[sh].PropertyContext()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		for _, sl := range ctx.Slots {
-			slots = append(slots, gSlot{shard: sh, slot: sl})
-		}
-		for _, c := range ctx.Candidates {
-			candIdx[c.Instance.ID] = len(cands)
-			cands = append(cands, gCand{shard: sh, cand: c})
-		}
-	}
+// JointPred is one new left vertex: a property predicate free to land on
+// any candidate, or — with Instance set — a deferred named predicate bound
+// to exactly that instance.
+type JointPred struct {
+	Expr     predicate.Expr
+	Instance string
+}
 
-	plans := make(map[int]*shardFloatPlan)
-	plan := func(sh int) *shardFloatPlan {
-		p := plans[sh]
-		if p == nil {
-			p = &shardFloatPlan{realloc: make(map[string]string)}
-			plans[sh] = p
-		}
-		return p
-	}
+// JointCand is one right vertex. Tentative marks an instance currently
+// backing a slot: matching mode may rearrange it, first-fit may not.
+type JointCand struct {
+	Loc       Loc
+	Inst      *resource.Instance
+	Tentative bool
+}
 
-	if mode == FirstFitMode {
-		// Greedy ablation, mirroring the single-store first-fit: each new
-		// predicate binds to the first free satisfying instance in shard
-		// then id order, and existing allocations never move. Deferred
-		// named predicates cannot occur (first-fit never displaces).
-		used := make(map[int]bool)
-		for _, f := range floating {
-			found := -1
-			for j, c := range cands {
-				if used[j] || c.cand.Tentative {
-					continue
-				}
-				ok, err := predicate.Eval(pr.Predicates[f.idx].Expr, c.cand.Instance.Env())
-				if err != nil || !ok {
-					continue
-				}
-				found = j
-				break
-			}
-			if found < 0 {
-				return nil, nil, false, nil
-			}
-			used[found] = true
-			p := plan(cands[found].shard)
-			p.preds = append(p.preds, pr.Predicates[f.idx])
-			p.predIdx = append(p.predIdx, f.idx)
-			p.assign = append(p.assign, cands[found].cand.Instance.ID)
+// SolveJoint solves the joint property match. It returns, for every slot
+// and then every new predicate, the index in cands of the instance backing
+// it, or ok=false when the predicates are not jointly satisfiable with the
+// slots. Two candidates exporting the same instance id are one instance:
+// the first in cands wins and the rest are ignored.
+//
+// In FirstFitMode (the greedy ablation) existing slots never move — their
+// entries are matching.Unmatched — and each new predicate binds to the
+// first free, non-tentative satisfying candidate, walking cands in the
+// order the caller gives them.
+func SolveJoint(slots []JointSlot, preds []JointPred, cands []JointCand, mode PropertyMode) (assign []int, ok bool) {
+	byID := make(map[string]int, len(cands))
+	shadowed := make([]bool, len(cands))
+	for j, c := range cands {
+		if _, dup := byID[c.Inst.ID]; dup {
+			shadowed[j] = true
+			continue
 		}
-		return plans, nil, true, nil
+		byID[c.Inst.ID] = j
 	}
-
-	// edge decides predicate satisfaction alone; the pass-specific oracles
-	// add the shard constraint for existing slots. Each left vertex's
-	// predicate is compiled once (propmatch.go) so the common shapes
-	// evaluate straight off the property map; only shapes the compiler
-	// refuses (references to the id/status builtins) pay for full Eval.
-	nExist := len(slots)
-	compiled := make([]compiledPred, nExist+len(floating))
-	for i, sl := range slots {
-		compiled[i] = compilePred(sl.slot.Expr)
-	}
-	for k, f := range floating {
-		if !f.named {
-			compiled[nExist+k] = compilePred(pr.Predicates[f.idx].Expr)
+	nSlots, n := len(slots), len(slots)+len(preds)
+	// Each left vertex's predicate is compiled once (propmatch.go) so the
+	// common shapes evaluate straight off the property map; only shapes
+	// the compiler refuses (references to the id/status builtins) pay for
+	// full Eval.
+	exprs := make([]predicate.Expr, n)
+	compiled := make([]compiledPred, n)
+	for l := range exprs {
+		if l < nSlots {
+			exprs[l] = slots[l].Expr
+		} else if preds[l-nSlots].Instance == "" {
+			exprs[l] = preds[l-nSlots].Expr
+		}
+		if exprs[l] != nil {
+			compiled[l] = compilePred(exprs[l])
 		}
 	}
-	edge := func(l, r int) bool {
-		var expr predicate.Expr
-		if l < nExist {
-			expr = slots[l].slot.Expr
-		} else {
-			f := floating[l-nExist]
-			if f.named {
-				return cands[r].cand.Instance.ID == pr.Predicates[f.idx].Instance
-			}
-			expr = pr.Predicates[f.idx].Expr
-		}
-		if c := compiled[l]; c != nil {
-			return c(cands[r].cand.Instance.Props)
-		}
-		ok, err := predicate.Eval(expr, cands[r].cand.Instance.Env())
-		return err == nil && ok
-	}
-	seed := make([]int, nExist+len(floating))
-	for i := range seed {
-		seed[i] = matching.Unmatched
-	}
-	for i, sl := range slots {
-		if j, ok := candIdx[sl.slot.Assigned]; ok && sl.slot.Assigned != "" {
-			seed[i] = j
-		}
-	}
-
-	// Pass 1: existing slots pinned to their own shard — no migrations.
-	pinned := matching.NewIncremental(nExist+len(floating), len(cands), func(l, r int) bool {
-		if l < nExist && slots[l].shard != cands[r].shard {
+	sat := func(l, r int) bool {
+		if shadowed[r] {
 			return false
 		}
-		return edge(l, r)
-	})
-	assign, ok := pinned.Solve(seed)
-	if !ok {
-		// Pass 2: single-predicate slots may migrate between shards. This
-		// is the exact single-store feasibility: shard boundaries no longer
-		// constrain the match.
-		free := matching.NewIncremental(nExist+len(floating), len(cands), func(l, r int) bool {
-			if l < nExist && slots[l].shard != cands[r].shard && !slots[l].slot.Migratable {
-				return false
-			}
-			return edge(l, r)
-		})
-		if assign, ok = free.Solve(seed); !ok {
-			return nil, nil, false, nil
+		c := cands[r]
+		if exprs[l] == nil {
+			return c.Inst.ID == preds[l-nSlots].Instance
 		}
+		if f := compiled[l]; f != nil {
+			return f(c.Inst.Props)
+		}
+		ok, err := predicate.Eval(exprs[l], c.Inst.Env())
+		return err == nil && ok
 	}
 
-	var migs []slotMigration
+	unmatched := make([]int, n)
+	for i := range unmatched {
+		unmatched[i] = matching.Unmatched
+	}
+	if mode == FirstFitMode {
+		assign = unmatched
+		used := make([]bool, len(cands))
+		for l := nSlots; l < n; l++ {
+			for r := range cands {
+				if !used[r] && !cands[r].Tentative && sat(l, r) {
+					assign[l] = r
+					used[r] = true
+					break
+				}
+			}
+			if assign[l] == matching.Unmatched {
+				return nil, false
+			}
+		}
+		return assign, true
+	}
+
+	seed := unmatched
+	roams := false
 	for i, sl := range slots {
-		c := cands[assign[i]]
-		newID := c.cand.Instance.ID
-		if newID == sl.slot.Assigned {
-			continue
+		if j, found := byID[sl.Assigned]; found && sl.Assigned != "" {
+			seed[i] = j
 		}
-		if c.shard == sl.shard {
-			plan(sl.shard).realloc[sl.slot.Key] = newID
-			continue
-		}
-		pid, _, _ := parseSlotKey(sl.slot.Key)
-		migs = append(migs, slotMigration{promiseID: pid, from: sl.shard, to: c.shard, inst: newID})
+		roams = roams || sl.Roam != RoamHome
 	}
-	for k, f := range floating {
-		c := cands[assign[nExist+k]]
-		p := plan(c.shard)
-		p.preds = append(p.preds, pr.Predicates[f.idx])
-		p.predIdx = append(p.predIdx, f.idx)
-		p.assign = append(p.assign, c.cand.Instance.ID)
+	solve := func(pass2 bool) ([]int, bool) {
+		return matching.NewIncremental(n, len(cands), func(l, r int) bool {
+			if l < nSlots {
+				roam := RoamHome
+				if pass2 {
+					roam = slots[l].Roam
+				}
+				if !roam.allows(slots[l].Loc, cands[r].Loc) {
+					return false
+				}
+			}
+			return sat(l, r)
+		}).Solve(seed)
 	}
-	return plans, migs, true, nil
+	if assign, ok = solve(false); ok || !roams {
+		return assign, ok
+	}
+	return solve(true)
 }

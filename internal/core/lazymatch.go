@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/matching"
 	"repro/internal/predicate"
 	"repro/internal/resource"
 )
@@ -18,23 +17,21 @@ import (
 // (or invalidated) slots — with edges evaluated lazily, the common case
 // touches O(R) predicates instead of O(L·R).
 //
-// The augmenting machinery lives in matching.Incremental (shared with the
-// cross-shard coordinator in sharded.go); this adapter contributes the edge
-// oracle — predicate evaluation against instance property environments —
-// and the translation between instance ids and vertex indices.
+// The solve is the joint solver of globalmatch.go at a single location;
+// this adapter translates between instance ids and vertex indices.
 type lazyMatcher struct {
-	cands []*resource.Instance
-	inc   *matching.Incremental
+	slots []JointSlot
+	cands []JointCand
 }
 
 func newLazyMatcher(exprs []predicate.Expr, cands []*resource.Instance) *lazyMatcher {
-	lm := &lazyMatcher{cands: cands}
-	lm.inc = matching.NewIncremental(len(exprs), len(cands), func(i, j int) bool {
-		// Evaluation errors (e.g. the predicate references a property the
-		// instance lacks) mean "no edge".
-		ok, err := predicate.Eval(exprs[i], cands[j].Env())
-		return err == nil && ok
-	})
+	lm := &lazyMatcher{slots: make([]JointSlot, len(exprs)), cands: make([]JointCand, len(cands))}
+	for i, e := range exprs {
+		lm.slots[i].Expr = e
+	}
+	for j, in := range cands {
+		lm.cands[j].Inst = in
+	}
 	return lm
 }
 
@@ -44,27 +41,18 @@ func newLazyMatcher(exprs []predicate.Expr, cands []*resource.Instance) *lazyMat
 // not valid candidates or no longer satisfy their predicate are treated as
 // unassigned.
 func (lm *lazyMatcher) solve(initial []string) ([]string, bool) {
-	idxOf := make(map[string]int, len(lm.cands))
-	for j, in := range lm.cands {
-		idxOf[in.ID] = j
-	}
-	seed := make([]int, len(initial))
-	for i, inst := range initial {
-		seed[i] = matching.Unmatched
-		if inst == "" {
-			continue
-		}
-		if j, ok := idxOf[inst]; ok {
-			seed[i] = j
+	for i := range lm.slots {
+		if i < len(initial) {
+			lm.slots[i].Assigned = initial[i]
 		}
 	}
-	assign, ok := lm.inc.Solve(seed)
+	assign, ok := SolveJoint(lm.slots, nil, lm.cands, MatchingMode)
 	if !ok {
 		return nil, false
 	}
 	out := make([]string, len(assign))
 	for i, j := range assign {
-		out[i] = lm.cands[j].ID
+		out[i] = lm.cands[j].Inst.ID
 	}
 	return out, true
 }

@@ -253,6 +253,14 @@ type execState struct {
 	sweptDue []expiryEntry
 }
 
+// compensate releases the upstream promises acquired during the attempt,
+// newest first.
+func (st *execState) compensate() {
+	for i := len(st.undoUpstream) - 1; i >= 0; i-- {
+		st.undoUpstream[i]()
+	}
+}
+
 // Execute processes one client message: grants/rejects its promise
 // requests, runs its action under its promise environment, applies release
 // options atomically with action success, and performs the post-action
@@ -342,9 +350,7 @@ func (m *Manager) executeOnce(ctx context.Context, req Request) (_ *Response, er
 			_ = tx.Abort()
 		}
 		// Compensate upstream promises acquired during this attempt.
-		for i := len(st.undoUpstream) - 1; i >= 0; i-- {
-			st.undoUpstream[i]()
-		}
+		st.compensate()
 	}()
 
 	if err := m.sweepExpired(tx, st); err != nil {

@@ -94,9 +94,7 @@ func (m *Manager) planPreempt(ctx context.Context, tx *txn.Tx, st *execState, pr
 		// may outlive this call (registered on st below).
 		ts := &execState{}
 		plan, _, _, err := m.planInner(ctx, tx, ts, preds, freed, d)
-		for i := len(ts.undoUpstream) - 1; i >= 0; i-- {
-			ts.undoUpstream[i]()
-		}
+		ts.compensate()
 		return err == nil && plan != nil, err
 	}
 	victims, err := preemption.Select(cands, trial)
@@ -140,11 +138,12 @@ func (m *Manager) preemptPromise(tx *txn.Tx, st *execState, p *Promise, by strin
 }
 
 // preemptFloat is the coordinator-side spot-capacity fallback for the
-// joint property match: when solveFloatAssignment finds no assignment for
-// a positive-tier request, the coordinator selects a minimal victim set
+// joint property match: when solveFloat finds no assignment for a
+// positive-tier request, the coordinator selects a minimal victim set
 // across every reserved shard and applies it through the open
 // reservations, so the revocations commit atomically with the grant — or
-// roll back with it, restoring every victim.
+// roll back with it, restoring every victim. A nil plan means preemption
+// cannot help either.
 //
 // Trials are non-mutating from the pipeline's point of view: each trial
 // revokes its candidate set under per-shard transaction savepoints,
@@ -152,13 +151,14 @@ func (m *Manager) preemptPromise(tx *txn.Tx, st *execState, p *Promise, by strin
 // must have reserved every shard (the victims that can restore
 // feasibility may hold instances anywhere), which is why grantCross
 // escalates to the full lock and reservation set first.
-func (s *ShardedManager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservation, floating []floatPred) (map[int]*shardFloatPlan, []slotMigration, bool, error) {
+func (s *ShardedManager) preemptFloat(g *crossGrant) (*matchPlan, error) {
+	resvs, prio := g.resvs, g.shape.Priority
 	victimShard := make(map[string]int)
 	var cands []preemption.Candidate
 	for _, sh := range sortedKeys(resvs) {
-		cs, _, err := s.shards[sh].m.preemptCandidates(resvs[sh].tx, pr.Priority, nil)
+		cs, _, err := s.shards[sh].m.preemptCandidates(resvs[sh].tx, prio, nil)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, err
 		}
 		for _, c := range cs {
 			victimShard[c.ID] = sh
@@ -166,7 +166,7 @@ func (s *ShardedManager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservat
 		cands = append(cands, cs...)
 	}
 	if len(cands) == 0 {
-		return nil, nil, false, nil
+		return nil, nil
 	}
 	trial := func(set []preemption.Candidate) (bool, error) {
 		marks := make(map[int]txn.Savepoint)
@@ -189,8 +189,8 @@ func (s *ShardedManager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservat
 					return false, err
 				}
 			}
-			_, _, ok, err := s.solveFloatAssignment(resvs, pr, floating, s.mode)
-			return ok, err
+			plan, err := s.solveFloat(g)
+			return plan != nil, err
 		}
 		ok, err := apply()
 		for _, sh := range sortedKeys(marks) {
@@ -202,22 +202,18 @@ func (s *ShardedManager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservat
 	}
 	victims, err := preemption.Select(cands, trial)
 	if err != nil || victims == nil {
-		return nil, nil, false, err
+		return nil, err
 	}
 	byShard := make(map[int][]string)
 	for _, c := range victims {
 		byShard[victimShard[c.ID]] = append(byShard[victimShard[c.ID]], c.ID)
 	}
 	for _, sh := range sortedKeys(byShard) {
-		if err := resvs[sh].Preempt(byShard[sh], pr.Priority); err != nil {
-			return nil, nil, false, err
+		if err := resvs[sh].Preempt(byShard[sh], prio); err != nil {
+			return nil, err
 		}
 	}
-	plans, migs, ok, err := s.solveFloatAssignment(resvs, pr, floating, s.mode)
-	if err != nil || !ok {
-		// The oracle accepted this exact set; fail closed so the pipeline
-		// aborts and the victims spring back.
-		return nil, nil, false, err
-	}
-	return plans, migs, true, nil
+	// The oracle accepted this exact set; a nil plan here fails closed so
+	// the pipeline aborts and the victims spring back.
+	return s.solveFloat(g)
 }

@@ -451,35 +451,9 @@ func (s *ShardedManager) applyDirRecord(rec *walRecord) {
 			s.restoreComposite(rec.Comp)
 		}
 	case dirMove:
-		if rec.Shard < 0 {
-			// A federated migrate-out: the slot left this node entirely,
-			// so its moved entry (if any) is retired rather than re-homed.
-			s.moved.Delete(rec.Promise)
-			return
-		}
-		s.moved.Store(rec.Promise, rec.Shard)
 		s.dirMu.Lock()
-		cid, ok := s.partOf[rec.Promise]
+		s.redirect(rec.Promise, rec.Shard)
 		s.dirMu.Unlock()
-		if !ok {
-			return
-		}
-		v, ok := s.dir.Load(cid)
-		if !ok {
-			return
-		}
-		old := v.(*composite)
-		fresh := &composite{
-			client:  old.client,
-			expires: old.expires,
-			parts:   append([]compositePart(nil), old.parts...),
-		}
-		for i := range fresh.parts {
-			if fresh.parts[i].id == rec.Promise {
-				fresh.parts[i].shard = rec.Shard
-			}
-		}
-		s.dir.Store(cid, fresh)
 	case dirDrop:
 		s.dropComposite(rec.ID)
 	}

@@ -14,8 +14,8 @@ import (
 
 // This file is the shard-side half of the two-phase reserve → confirm/abort
 // grant pipeline. A cross-shard promise request cannot run as one store
-// transaction (each shard owns a private store), so the coordinator in
-// sharded.go opens one Reservation per involved shard under the ordered
+// transaction (each shard owns a private store), so the coordinator half in
+// pipeline.go opens one Reservation per involved shard under the ordered
 // shard lock set: each shard tentatively applies its slice of the request —
 // releases first, then grants — inside a transaction it keeps open. The
 // coordinator then either Confirms every reservation (commit) or Aborts
@@ -138,16 +138,12 @@ func (m *Manager) Reserve(ctx context.Context, client string, rr ReserveRequest)
 	start := m.clk.Now()
 	fail := func(err error) (*Reservation, *PromiseResponse, error) {
 		_ = tx.Abort()
-		for i := len(st.undoUpstream) - 1; i >= 0; i-- {
-			st.undoUpstream[i]()
-		}
+		st.compensate()
 		return nil, nil, err
 	}
 	reject := func(format string, args ...any) (*Reservation, *PromiseResponse, error) {
 		_ = tx.Abort()
-		for i := len(st.undoUpstream) - 1; i >= 0; i-- {
-			st.undoUpstream[i]()
-		}
+		st.compensate()
 		m.metrics.requests.Inc()
 		m.metrics.rejections.Inc()
 		m.metrics.latency.Observe(time.Since(start))
@@ -481,9 +477,7 @@ func (r *Reservation) Confirm() error {
 	m.pubMu.Lock()
 	if err := r.tx.Commit(); err != nil {
 		m.pubMu.Unlock()
-		for i := len(r.st.undoUpstream) - 1; i >= 0; i-- {
-			r.st.undoUpstream[i]()
-		}
+		r.st.compensate()
 		return err
 	}
 	m.bus.publish(r.st.events...)
@@ -519,9 +513,7 @@ func (r *Reservation) Abort() {
 	}
 	r.done = true
 	_ = r.tx.Abort()
-	for i := len(r.st.undoUpstream) - 1; i >= 0; i-- {
-		r.st.undoUpstream[i]()
-	}
+	r.st.compensate()
 	r.m.metrics.requests.Inc()
 	r.m.metrics.latency.Observe(time.Since(r.start))
 }

@@ -243,6 +243,9 @@ func NewSharded(cfg ShardedConfig) (*ShardedManager, error) {
 		bus:     NewEventBusCap(cfg.ReplayRing),
 		compIDs: ids.New(ns + "shp"),
 		partOf:  make(map[string]string),
+
+		fedSessions: make(map[string]*fedSession),
+		fedIDs:      ids.New(ns + "fed"),
 	}
 	for i := 0; i < n; i++ {
 		sh := &managerShard{}
@@ -261,14 +264,8 @@ func NewSharded(cfg ShardedConfig) (*ShardedManager, error) {
 			bus:              s.bus,
 			// Composite members never join a shard-local victim set: a
 			// composite promise is displaced whole or not at all, and only
-			// the coordinator sees the whole. dirMu is a leaf lock, safe
-			// to take under any shard lock.
-			preemptFilter: func(id string) bool {
-				s.dirMu.Lock()
-				_, part := s.partOf[id]
-				s.dirMu.Unlock()
-				return !part
-			},
+			// the coordinator sees the whole.
+			preemptFilter: func(id string) bool { return !s.isPart(id) },
 			// Deadline-driven expiry mutates the shard's store, so it runs
 			// under the shard's write lock like any other mutation — the
 			// reserve/confirm pipeline's sole-user invariant holds.
@@ -306,7 +303,8 @@ func (s *ShardedManager) ShardOf(resourceID string) int {
 
 // ownerShard maps a promise id back to its shard: the moved directory for
 // migrated property sub-promises, the "<ns>prm<i>-" prefix otherwise. ok
-// is false for composite ids and ids this manager never issued — a
+// is false, with shard 0 (whose lookup answers not-found), for composite
+// ids and ids this manager never issued — a
 // federated id from another node's namespace resolves only through the
 // moved directory (a slot migrated in keeps its original id). Lock-free:
 // this sits on the hot path of every check.
@@ -355,6 +353,15 @@ func (s *ShardedManager) lookupComposite(client, id string) *composite {
 	return c
 }
 
+// isPart reports whether id is a part of a composite promise. dirMu is a
+// leaf lock, safe to take under any shard lock.
+func (s *ShardedManager) isPart(id string) bool {
+	s.dirMu.Lock()
+	defer s.dirMu.Unlock()
+	_, part := s.partOf[id]
+	return part
+}
+
 func (s *ShardedManager) dropComposite(id string) {
 	if v, ok := s.dir.Load(id); ok {
 		s.dirMu.Lock()
@@ -387,26 +394,50 @@ func (s *ShardedManager) lockShards(set map[int]bool) (unlock func()) {
 	}
 }
 
+// eachPart calls fn with the shard and id of every per-shard promise
+// backing id — a composite's parts, or the id itself on its owning shard —
+// and reports whether id resolved. An id that does not (a composite
+// unknown to client, an id no shard issued) calls nothing.
+func (s *ShardedManager) eachPart(client, id string, fn func(sh int, part string)) bool {
+	if isCompositeID(id) {
+		c := s.lookupComposite(client, id)
+		if c == nil {
+			return false
+		}
+		for _, part := range c.parts {
+			fn(part.shard, part.id)
+		}
+		return true
+	}
+	sh, ok := s.ownerShard(id)
+	if ok {
+		fn(sh, id)
+	}
+	return ok
+}
+
 // addPromiseID adds the shards backing a referenced promise id to set.
 // Composite ids mark the route non-simple; unknown ids land on shard 0,
 // where lookup produces the correct not-found error.
 func (s *ShardedManager) addPromiseID(set map[int]bool, id string, simple *bool) {
 	if isCompositeID(id) {
 		*simple = false
-		if c := s.lookupComposite("", id); c != nil {
-			for _, part := range c.parts {
-				set[part.shard] = true
-			}
-			return
-		}
+	}
+	if !s.eachPart("", id, func(sh int, _ string) { set[sh] = true }) {
 		set[0] = true
-		return
 	}
-	if sh, ok := s.ownerShard(id); ok {
-		set[sh] = true
-		return
+}
+
+// homeShard returns the shard owning an anonymous or named predicate's
+// resource; ok is false for a property predicate, which has none.
+func (s *ShardedManager) homeShard(p Predicate) (sh int, ok bool) {
+	switch p.View {
+	case AnonymousView:
+		return s.ShardOf(p.Pool), true
+	case NamedView:
+		return s.ShardOf(p.Instance), true
 	}
-	set[0] = true
+	return 0, false
 }
 
 // routeRequest computes the shard set one promise request can touch.
@@ -427,17 +458,14 @@ func (s *ShardedManager) routeRequest(pr PromiseRequest) (set map[int]bool, simp
 	simple = true
 	var props []floatPred
 	for i, p := range pr.Predicates {
-		switch p.View {
-		case AnonymousView:
-			set[s.ShardOf(p.Pool)] = true
-		case NamedView:
-			set[s.ShardOf(p.Instance)] = true
-		case PropertyView:
+		if sh, ok := s.homeShard(p); ok {
+			set[sh] = true
+		} else if p.View == PropertyView {
 			props = append(props, floatPred{idx: i})
 		}
 	}
 	if len(props) > 0 {
-		for i := range s.contributingShards(pr, props) {
+		for i := range s.contributingShards(pr.Predicates, props) {
 			set[i] = true
 		}
 		if len(s.shards) > 1 {
@@ -481,14 +509,7 @@ func (s *ShardedManager) route(req Request) (involved map[int]bool, simple bool,
 	for _, r := range req.Resources {
 		involved[s.ShardOf(r)] = true
 	}
-	// A multi-request message with a property predicate takes every lock:
-	// its later requests commit after earlier ones, and a pre-filter widen
-	// (errPrefilterWiden) fired mid-message could not be retried — the
-	// compensation path hands back grants but cannot restore committed §4
-	// releases. Single-request messages, the common and perf-critical
-	// shape, keep the shrunken set: their widen fires before any state
-	// changes, so the retry is a pure re-execution.
-	if len(s.shards) > 1 && len(req.PromiseRequests) > 1 && hasPropertyPred(req.PromiseRequests) {
+	if s.needsAllLocks(req.PromiseRequests) {
 		for i := range s.shards {
 			involved[i] = true
 		}
@@ -512,9 +533,18 @@ func (s *ShardedManager) route(req Request) (involved map[int]bool, simple bool,
 	return involved, simple, primary
 }
 
-// hasPropertyPred reports whether any request carries a property-view
-// predicate — the only kind that can trigger a pre-filter widen.
-func hasPropertyPred(reqs []PromiseRequest) bool {
+// needsAllLocks reports whether a message of several promise requests
+// must take every lock: its later requests commit after earlier ones, and
+// a pre-filter widen (errPrefilterWiden) fired mid-message could not be
+// retried — the compensation path hands back grants but cannot restore
+// committed §4 releases. Only a property predicate can trigger a widen.
+// Single-request messages, the common and perf-critical shape, keep the
+// shrunken set: their widen fires before any state changes, so the retry
+// is a pure re-execution.
+func (s *ShardedManager) needsAllLocks(reqs []PromiseRequest) bool {
+	if len(s.shards) == 1 || len(reqs) < 2 {
+		return false
+	}
 	for _, pr := range reqs {
 		for _, p := range pr.Predicates {
 			if p.View == PropertyView {
@@ -584,13 +614,9 @@ func (s *ShardedManager) promiseRequestNeedsGlobal(pr PromiseRequest) (bool, err
 // owning shard's manager; cross-shard requests run the composite protocol
 // under the ordered lock set.
 //
-// Routing resolves composite ids and migrated promises against the
-// directory lock-free, so the request is re-routed after the locks are
-// held: a composite registered (or a slot migrated) in between could
-// otherwise send execution to shards whose mutexes were never acquired.
-// The loop converges because the lock set only grows. A second check under
-// the locks escalates to the full set when a named predicate needs the
-// global matcher (needsGlobal above).
+// The lock set comes from lockRoute, which re-routes under the locks and
+// escalates to the full set when a named predicate needs the global
+// matcher (needsGlobal above).
 //
 // Cancellation is honoured before any lock is taken and, for cross-shard
 // requests, between per-shard reservations (see grantCross) — a dead client
@@ -617,31 +643,56 @@ func (s *ShardedManager) Execute(ctx context.Context, req Request) (*Response, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	involved, _, _ := s.route(req)
+	var simple bool
+	var primary int
+	route := func() (set map[int]bool) {
+		set, simple, primary = s.route(req)
+		return set
+	}
+	escalate := func() (bool, error) { return s.needsGlobal(req) }
+	involved := route()
+	for {
+		unlock, esc, err := s.lockRoute(involved, route, escalate)
+		if err != nil {
+			return nil, err
+		}
+		if simple && !esc {
+			defer unlock()
+			return s.shards[primary].m.Execute(ctx, req)
+		}
+		resp, err := s.executeCross(ctx, req, primary, involved)
+		unlock()
+		if !errors.Is(err, errPrefilterWiden) {
+			return resp, err
+		}
+		// The pre-filter flapped on a shard outside the held set; retry
+		// under every lock, where the widen signal cannot fire again (see
+		// grantCross Phase 1).
+		involved = s.allShards()
+	}
+}
+
+// lockRoute locks the shard set involved and returns it held, growing
+// involved in place until it covers the request. Routing resolves
+// composite ids and migrated promises against the directory lock-free, so
+// route is re-run once the locks are held: a composite registered (or a
+// slot migrated) in between could otherwise send execution to shards whose
+// mutexes were never acquired. The loop converges because the set only
+// grows. Once the route fits, escalate runs under the locks; when it
+// reports true (a named predicate needs the global matcher), the set
+// widens to every shard, and esc reports it.
+func (s *ShardedManager) lockRoute(involved map[int]bool, route func() map[int]bool, escalate func() (bool, error)) (unlock func(), esc bool, err error) {
 	for {
 		unlock := s.lockShards(involved)
-		again, simple, primary := s.route(req)
+		again := route()
 		if subsetOf(again, involved) {
-			esc, err := s.needsGlobal(req)
+			esc, err := escalate()
 			if err != nil {
 				unlock()
-				return nil, err
+				return nil, false, err
 			}
 			if !esc || len(involved) == len(s.shards) {
-				if simple && !esc {
-					defer unlock()
-					return s.shards[primary].m.Execute(ctx, req)
-				}
-				resp, err := s.executeCross(ctx, req, primary, involved)
-				unlock()
-				if errors.Is(err, errPrefilterWiden) {
-					// The pre-filter flapped on a shard outside the held
-					// set; retry under every lock, where the widen signal
-					// cannot fire again (see grantCross Phase 1).
-					involved = s.allShards()
-					continue
-				}
-				return resp, err
+				return unlock, esc, nil
 			}
 			again = s.allShards()
 		}
@@ -665,9 +716,7 @@ func (s *ShardedManager) executeCross(ctx context.Context, req Request, primary 
 			// Restore the single-store all-or-nothing contract for the
 			// message: grants already committed for earlier promise
 			// requests are handed back before the error surfaces.
-			for _, prev := range resp.Promises {
-				s.releaseGrant(req.Client, prev)
-			}
+			s.releaseGrants(req.Client, resp.Promises)
 			return nil, err
 		}
 		resp.Promises = append(resp.Promises, presp)
@@ -697,9 +746,7 @@ func (s *ShardedManager) executeCross(ctx context.Context, req Request, primary 
 			ActionParams: req.ActionParams,
 		})
 		if err != nil {
-			for _, prev := range resp.Promises {
-				s.releaseGrant(req.Client, prev)
-			}
+			s.releaseGrants(req.Client, resp.Promises)
 			return nil, err
 		}
 		resp.ActionResult, resp.ActionErr = sub.ActionResult, sub.ActionErr
@@ -716,32 +763,25 @@ func (s *ShardedManager) executeCross(ctx context.Context, req Request, primary 
 	return resp, nil
 }
 
-// releaseGrant hands back a just-granted promise (single-shard or
+// releaseGrants hands back just-granted promises (single-shard or
 // composite) when a later internal failure in the same message forces the
 // whole message to fail: the client never learns the promise id, so the
 // grant must not outlive the call. Compensation ignores the request's
 // context — it must run even (especially) when the client is gone.
-func (s *ShardedManager) releaseGrant(client string, pr PromiseResponse) {
-	if !pr.Accepted {
-		return
-	}
-	if isCompositeID(pr.PromiseID) {
-		if c := s.lookupComposite(client, pr.PromiseID); c != nil {
-			for _, part := range c.parts {
-				_, _ = s.shards[part.shard].m.Execute(context.Background(), Request{
-					Client: client,
-					Env:    []EnvEntry{{PromiseID: part.id, Release: true}},
-				})
-			}
+func (s *ShardedManager) releaseGrants(client string, prs []PromiseResponse) {
+	for _, pr := range prs {
+		if !pr.Accepted {
+			continue
+		}
+		resolved := s.eachPart(client, pr.PromiseID, func(sh int, part string) {
+			_, _ = s.shards[sh].m.Execute(context.Background(), Request{
+				Client: client,
+				Env:    []EnvEntry{{PromiseID: part, Release: true}},
+			})
+		})
+		if resolved && isCompositeID(pr.PromiseID) {
 			s.dropComposite(pr.PromiseID)
 		}
-		return
-	}
-	if sh, ok := s.ownerShard(pr.PromiseID); ok {
-		_, _ = s.shards[sh].m.Execute(context.Background(), Request{
-			Client: client,
-			Env:    []EnvEntry{{PromiseID: pr.PromiseID, Release: true}},
-		})
 	}
 }
 
@@ -751,21 +791,15 @@ func (s *ShardedManager) releaseGrant(client string, pr PromiseResponse) {
 func (s *ShardedManager) splitEnv(client string, env []EnvEntry) (map[int][]EnvEntry, error) {
 	groups := make(map[int][]EnvEntry)
 	for _, e := range env {
-		if isCompositeID(e.PromiseID) {
-			c := s.lookupComposite(client, e.PromiseID)
-			if c == nil {
-				return nil, fmt.Errorf("%w: %s", ErrPromiseNotFound, e.PromiseID)
-			}
-			for _, part := range c.parts {
-				groups[part.shard] = append(groups[part.shard], EnvEntry{PromiseID: part.id, Release: e.Release})
-			}
-			continue
+		resolved := s.eachPart(client, e.PromiseID, func(sh int, part string) {
+			groups[sh] = append(groups[sh], EnvEntry{PromiseID: part, Release: e.Release})
+		})
+		switch {
+		case !resolved && isCompositeID(e.PromiseID):
+			return nil, fmt.Errorf("%w: %s", ErrPromiseNotFound, e.PromiseID)
+		case !resolved:
+			groups[0] = append(groups[0], e)
 		}
-		sh, ok := s.ownerShard(e.PromiseID)
-		if !ok {
-			sh = 0
-		}
-		groups[sh] = append(groups[sh], e)
 	}
 	return groups, nil
 }
@@ -806,7 +840,7 @@ func (s *ShardedManager) applyReleaseGroups(client string, groups map[int][]EnvE
 }
 
 // grantCross evaluates one promise request that may span shards, running
-// the two-phase reserve → confirm/abort pipeline of reserve.go. Caller
+// the two-phase reserve → confirm/abort pipeline of pipeline.go. Caller
 // holds the locks of exactly the shards in locked, which cover every
 // shard the request routed to; grantCross never reserves outside that
 // set, returning errPrefilterWiden instead when the re-read pre-filter
@@ -820,113 +854,39 @@ func (s *ShardedManager) applyReleaseGroups(client string, groups map[int][]EnvE
 // the pipeline runs to completion; cancellation can no longer split the
 // grant.
 func (s *ShardedManager) grantCross(ctx context.Context, client string, pr PromiseRequest, locked map[int]bool) (PromiseResponse, error) {
-	reject := func(format string, args ...any) PromiseResponse {
-		return PromiseResponse{Correlation: pr.RequestID, Reason: fmt.Sprintf(format, args...)}
+	reject := func(reason string) PromiseResponse {
+		return PromiseResponse{Correlation: pr.RequestID, Reason: reason}
 	}
 	if len(pr.Predicates) == 0 {
 		return reject("no predicates in promise request"), nil
 	}
-	for _, p := range pr.Predicates {
-		if err := p.Validate(); err != nil {
-			return reject("invalid predicate %s: %v", p, err), nil
-		}
-	}
-	// Normalize the tier here (pr is a copy) so the coordinator and every
-	// shard agree on it; shard configs share one DefaultPriority.
-	if pr.Priority == 0 {
-		pr.Priority = s.shards[0].m.cfg.DefaultPriority
-	}
-
-	// Partition release targets to their owning shards, expanding composite
-	// targets into their per-shard parts. Usability is checked by each
-	// shard's Reserve, under its transaction.
-	relByShard := make(map[int][]string)
-	hasCompositeRel := false
-	for _, rid := range pr.Releases {
-		if isCompositeID(rid) {
-			hasCompositeRel = true
-			c := s.lookupComposite(client, rid)
-			if c == nil {
-				return reject("release target %s: %v", rid, fmt.Errorf("%w: %s", ErrPromiseNotFound, rid)), nil
-			}
-			for _, part := range c.parts {
-				relByShard[part.shard] = append(relByShard[part.shard], part.id)
-			}
-			continue
-		}
-		sh, ok := s.ownerShard(rid)
-		if !ok {
-			return reject("release target %s: %v", rid, fmt.Errorf("%w: %s", ErrPromiseNotFound, rid)), nil
-		}
-		relByShard[sh] = append(relByShard[sh], rid)
-	}
-
-	// Resolve the duration cap (manager clamp + context deadline) up front:
-	// a request whose floor cannot be met must reject before any shard
-	// reserves, even when every predicate floats (shard configs agree, so
-	// any shard's answer is the answer). The capped value also prices the
-	// pinned grants below, so a floating predicate cannot outlive the
-	// caller's deadline either.
-	durCapped, durReason := s.shards[0].m.grantDuration(ctx, pr.Duration, pr.MinDuration)
-	if durReason != "" {
-		s.shards[0].m.metrics.requests.Inc()
-		s.shards[0].m.metrics.rejections.Inc()
-		return reject("%s", durReason), nil
-	}
-
-	// Partition predicates: anonymous and named bind to their resource's
-	// shard; property predicates float and are placed by the global match.
-	// A named predicate whose instance is tentatively allocated to a
-	// property promise is deferred into the global match too: granting it
-	// displaces that allocation, and the displaced slot may need to land
-	// on any shard (first-fit never displaces, so it never defers — the
-	// owning shard's planner rejects exactly as the single store would).
-	fixed := make(map[int][]int)
-	var floating []floatPred
-	for i, p := range pr.Predicates {
-		switch p.View {
-		case AnonymousView:
-			fixed[s.ShardOf(p.Pool)] = append(fixed[s.ShardOf(p.Pool)], i)
-		case NamedView:
-			if s.mode == MatchingMode {
-				// Deliberately re-peeked here even though needsGlobal
-				// already asked: an earlier promise request in the same
-				// message can have granted a property promise onto this
-				// instance, so the deferral answer must be re-read per
-				// request. The displaced slot may need to re-home on a
-				// shard the route never locked; the deferred predicate
-				// joins floating, so Phase 1's clamp check below catches
-				// that case and widens rather than plan past the held set.
-				held, err := s.shards[s.ShardOf(p.Instance)].m.propertySlotHolder(p.Instance)
-				if err != nil {
-					return PromiseResponse{}, err
-				}
-				if held {
-					floating = append(floating, floatPred{idx: i, named: true})
-					continue
-				}
-			}
-			fixed[s.ShardOf(p.Instance)] = append(fixed[s.ShardOf(p.Instance)], i)
-		case PropertyView:
-			floating = append(floating, floatPred{idx: i})
-		}
+	// A named predicate's deferral is deliberately re-read here even though
+	// needsGlobal already asked: an earlier promise request in the same
+	// message can have granted a property promise onto its instance. The
+	// displaced slot may need to re-home on a shard the route never locked;
+	// the deferred predicate floats, so Phase 1's clamp catches that case
+	// and widens rather than plan past the held set.
+	g, reason, err := s.newCrossGrant(ctx, client, pr.Predicates, nil, pr.Releases, ReserveRequest{
+		Duration:    pr.Duration,
+		MinDuration: pr.MinDuration,
+		Priority:    pr.Priority,
+		Preemptible: pr.Preemptible,
+	})
+	if err != nil || reason != "" {
+		return reject(reason), err
 	}
 
 	// Same-shard request: when every predicate and every release target
 	// lives on one shard (and no release is composite, which the inner
 	// manager cannot resolve), delegate wholesale so the common case stays
 	// one ordinary sub-promise with no reservation or directory overhead.
-	if len(floating) == 0 && len(fixed) == 1 && !hasCompositeRel {
-		for sh := range fixed {
-			sameShard := true
-			for rsh := range relByShard {
-				if rsh != sh {
-					sameShard = false
-				}
-			}
-			if !sameShard {
-				break
-			}
+	if len(g.floating) == 0 && len(g.fixed) == 1 && !g.compositeRel {
+		sh := sortedKeys(g.fixed)[0]
+		sameShard := true
+		for rsh := range g.releases {
+			sameShard = sameShard && rsh == sh
+		}
+		if sameShard {
 			resp, err := s.shards[sh].m.Execute(ctx, Request{Client: client, PromiseRequests: []PromiseRequest{pr}})
 			if err != nil {
 				return PromiseResponse{}, err
@@ -943,11 +903,10 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 	// contributingShards — shards with nothing to offer are provably
 	// irrelevant to the joint match and their reservations are skipped).
 	//
-	// Since the route itself is pre-filtered, the held lock set no longer
-	// covers every shard, and summaries of unlocked shards can move while
-	// this runs — the index flap PR 5's all-shards route made impossible.
-	// Equivalence with the single store survives the flap because of how
-	// the two outcomes linearize:
+	// Since the route itself is pre-filtered, the held lock set does not
+	// cover every shard, and summaries of unlocked shards can move while
+	// this runs. Equivalence with the single store survives such an index
+	// flap because of how the two outcomes linearize:
 	//
 	//   - Accepts are self-justifying: the match is solved over candidate
 	//     state read transactionally on reserved (locked) shards, and the
@@ -970,89 +929,24 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 	// be reserved (no lock), and excluding it would reject against a view
 	// no global state matches. That is the widen signal — the caller
 	// retries under the full lock set, where the clamp is vacuous.
-	involved := make(map[int]bool)
-	for sh := range relByShard {
-		involved[sh] = true
+	involved, err := s.involvedShards(g, false, locked)
+	if err != nil {
+		return PromiseResponse{}, err
 	}
-	for sh := range fixed {
-		involved[sh] = true
-	}
-	if len(floating) > 0 {
-		for i := range s.contributingShards(pr, floating) {
-			if !locked[i] {
-				return PromiseResponse{}, errPrefilterWiden
-			}
-			involved[i] = true
-		}
-		if len(involved) == 0 {
-			// No shard can contribute and nothing is fixed or released:
-			// reserve one (held) shard anyway so the rejection runs through
-			// the same counters and response shape as always.
-			involved[sortedKeys(locked)[0]] = true
-		}
-		if skipped := len(s.shards) - len(involved); skipped > 0 {
-			s.prefilterSkipped.Add(int64(skipped))
-		}
-	}
-	resvs := make(map[int]*Reservation)
-	abortAll := func() {
-		for _, sh := range sortedKeys(resvs) {
-			resvs[sh].Abort()
-		}
-	}
-	for _, sh := range sortedKeys(involved) {
-		// The cancellation point of the pipeline: a context that died while
-		// earlier shards reserved aborts everything before any Confirm.
-		if err := ctx.Err(); err != nil {
-			abortAll()
-			return PromiseResponse{}, err
-		}
-		idxs := fixed[sh]
-		preds := make([]Predicate, len(idxs))
-		for j, idx := range idxs {
-			preds[j] = pr.Predicates[idx]
-		}
-		resv, rejResp, err := s.shards[sh].m.Reserve(ctx, client, ReserveRequest{
-			Releases:    relByShard[sh],
-			Predicates:  preds,
-			PredIdx:     idxs,
-			Duration:    pr.Duration,
-			MinDuration: pr.MinDuration,
-			Priority:    pr.Priority,
-			Preemptible: pr.Preemptible,
-		})
-		if err != nil {
-			abortAll()
-			return PromiseResponse{}, err
-		}
-		if rejResp != nil {
-			// One shard's rejection aborts the whole pipeline: releases
-			// spring back into force on every shard (§4).
-			abortAll()
-			out := *rejResp
-			out.Correlation = pr.RequestID
-			return out, nil
-		}
-		resvs[sh] = resv
+	if rej, err := s.reserveShards(ctx, g, involved); err != nil || rej != nil {
+		return rejection(rej, pr.RequestID), err
 	}
 
-	// Phase 2 — global property match. The coordinator solves one joint
-	// bipartite problem over every shard's candidates and applies the
-	// solution through the open reservations, releases strictly before
-	// acquisitions: migrating slots detach first, within-shard
-	// reallocations run per shard, migrating slots re-attach on their new
-	// shard, then the new predicates pin to their chosen instances — each
-	// as a single-predicate sub-promise, so the slot stays migratable.
-	var pendingMoves []slotMigration
-	var movedRows []*Promise
-	preempted := false
-	if len(floating) > 0 {
-		plans, migs, ok, err := s.solveFloatAssignment(resvs, pr, floating, s.mode)
-		if err != nil {
-			abortAll()
+	// Phase 2 — joint property match, applied through the open
+	// reservations; see solveFloat and applyPlan.
+	plan := &matchPlan{}
+	if len(g.floating) > 0 {
+		if plan, err = s.solveFloat(g); err != nil {
+			abortAll(g.resvs)
 			return PromiseResponse{}, err
 		}
-		if !ok && pr.Priority > 0 && s.mode == MatchingMode {
+		preempted := false
+		if plan == nil && g.shape.Priority > 0 && s.mode == MatchingMode {
 			// Spot-capacity fallback (preempt.go): displacing lower-tier
 			// preemptible holds may restore joint feasibility. The victims
 			// that help can hold instances on any shard — including shards
@@ -1060,77 +954,36 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 			// candidates once freed — so the fallback runs only under the
 			// full lock set (widen first otherwise; the retry is a pure
 			// re-execution, as in Phase 1) and reserves the leftover shards.
+			// Their empty reservations cannot reject on capacity, only on
+			// the duration floor, identically on every shard.
 			if len(locked) < len(s.shards) {
-				abortAll()
+				abortAll(g.resvs)
 				return PromiseResponse{}, errPrefilterWiden
 			}
+			leftover := make(map[int]bool)
 			for i := range s.shards {
-				if resvs[i] != nil {
-					continue
+				if g.resvs[i] == nil {
+					leftover[i] = true
 				}
-				resv, rejResp, rerr := s.shards[i].m.Reserve(ctx, client, ReserveRequest{
-					Duration:    pr.Duration,
-					MinDuration: pr.MinDuration,
-					Priority:    pr.Priority,
-					Preemptible: pr.Preemptible,
-				})
-				if rerr != nil {
-					abortAll()
-					return PromiseResponse{}, rerr
-				}
-				if rejResp != nil {
-					// An empty reservation cannot reject on capacity; this is
-					// a duration-floor rejection, identical on every shard.
-					abortAll()
-					out := *rejResp
-					out.Correlation = pr.RequestID
-					return out, nil
-				}
-				resvs[i] = resv
 			}
-			plans, migs, ok, err = s.preemptFloat(pr, resvs, floating)
-			if err != nil {
-				abortAll()
+			if rej, err := s.reserveShards(ctx, g, leftover); err != nil || rej != nil {
+				return rejection(rej, pr.RequestID), err
+			}
+			if plan, err = s.preemptFloat(g); err != nil {
+				abortAll(g.resvs)
 				return PromiseResponse{}, err
 			}
-			preempted = ok
+			preempted = plan != nil
 		}
-		if !ok {
-			abortAll()
+		if plan == nil {
+			abortAll(g.resvs)
 			// Abort counted the per-shard requests; the client-visible
 			// rejection lands on the lowest involved shard's counter.
-			s.shards[sortedKeys(resvs)[0]].m.metrics.rejections.Inc()
-			return reject("property predicates not jointly satisfiable with outstanding promises"), nil
+			s.shards[sortedKeys(g.resvs)[0]].m.metrics.rejections.Inc()
+			return reject(ReasonJointUnsat), nil
 		}
-		migRows := make([]*Promise, len(migs))
-		for i, mg := range migs {
-			if migRows[i], err = resvs[mg.from].MigrateOut(mg.promiseID); err != nil {
-				abortAll()
-				return PromiseResponse{}, err
-			}
-		}
-		for _, sh := range sortedKeys(plans) {
-			if p := plans[sh]; len(p.realloc) > 0 {
-				if err := resvs[sh].ApplyRealloc(p.realloc); err != nil {
-					abortAll()
-					return PromiseResponse{}, err
-				}
-			}
-		}
-		for i, mg := range migs {
-			if err := resvs[mg.to].MigrateIn(migRows[i], mg.inst); err != nil {
-				abortAll()
-				return PromiseResponse{}, err
-			}
-		}
-		for _, sh := range sortedKeys(plans) {
-			p := plans[sh]
-			for j := range p.preds {
-				if err := resvs[sh].GrantPinned(p.preds[j:j+1], p.predIdx[j:j+1], p.assign[j:j+1], durCapped); err != nil {
-					abortAll()
-					return PromiseResponse{}, err
-				}
-			}
+		if err := applyPlan(g.resvs, plan, g.durCapped); err != nil {
+			return PromiseResponse{}, err
 		}
 		if preempted {
 			// Name the displacing promise in every pending EventPreempted:
@@ -1138,101 +991,47 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 			// until after confirm, and a single-part grant answers to its
 			// part id anyway).
 			by := ""
-			for _, sh := range sortedKeys(resvs) {
-				if g := resvs[sh].Granted(); len(g) > 0 {
-					by = g[0].ID
+			for _, sh := range sortedKeys(g.resvs) {
+				if granted := g.resvs[sh].Granted(); len(granted) > 0 {
+					by = granted[0].ID
 					break
 				}
 			}
-			for _, sh := range sortedKeys(resvs) {
-				resvs[sh].StampPreemptedBy(by)
+			for _, sh := range sortedKeys(g.resvs) {
+				g.resvs[sh].StampPreemptedBy(by)
 			}
 		}
-		pendingMoves = migs
-		movedRows = migRows
 	}
 
-	// Phase 3 — confirm, in ascending shard order. Commit of an open
-	// reservation cannot conflict (the shard lock is held), so a failure
-	// here is an internal invariant break; grants already confirmed are
-	// handed back best-effort so no promise the client never learned about
-	// outlives the call. The last cancellation check sits before the first
-	// Confirm: past it the grant is committed whole.
-	if err := ctx.Err(); err != nil {
-		abortAll()
+	// Phase 3 — confirm, in ascending shard order.
+	parts, err := s.confirmPlan(ctx, client, g.resvs, plan.moves)
+	if err != nil {
 		return PromiseResponse{}, err
 	}
-	// With migrations pending, the confirms below make a promise vanish
-	// from its source shard's snapshot before the directory re-routes it;
-	// the odd seqlock value tells lock-free readers their miss may be this
-	// race rather than a definitive not-found.
-	migrating := len(pendingMoves) > 0
-	if migrating {
-		s.migSeq.Add(1)
-	}
-	var confirmed []compositePart
-	for _, sh := range sortedKeys(resvs) {
-		granted := resvs[sh].Granted()
-		if err := resvs[sh].Confirm(); err != nil {
-			if migrating {
-				s.migSeq.Add(1)
-			}
-			abortAll()
-			s.releaseParts(client, confirmed)
-			return PromiseResponse{}, err
-		}
-		for _, g := range granted {
-			confirmed = append(confirmed, compositePart{shard: sh, id: g.ID, predIdx: g.PredIdx, expires: g.Expires})
-		}
-	}
-	s.commitMoves(pendingMoves)
-	if migrating {
-		s.migSeq.Add(1)
-	}
-	if len(pendingMoves) > 0 {
-		// The migrated promises now live (and will expire) on their new
-		// shards; their ids, clients and expiries are unchanged, and the
-		// shared bus keeps their event streams continuous.
-		now := s.clk.Now()
-		events := make([]Event, 0, len(pendingMoves))
-		for i, mg := range pendingMoves {
-			row := movedRows[i]
-			s.shards[mg.to].m.trackExpiry(row.ID, row.Expires)
-			events = append(events, Event{
-				Type: EventMigrated, PromiseID: row.ID, Client: row.Client,
-				Time: now, Expires: row.Expires,
-				Reason: fmt.Sprintf("slot moved from shard %d to shard %d", mg.from, mg.to),
-			})
-		}
-		s.bus.publish(events...)
-	}
-
+	resp := PromiseResponse{Correlation: pr.RequestID, Accepted: true, PromiseID: parts[0].id, Expires: parts[0].expires}
 	// A pipeline that produced a single sub-promise (e.g. an upgrade whose
 	// new predicates all land on one shard while the releases span others)
 	// needs no composite id: the part is an ordinary promise.
-	if len(confirmed) == 1 {
-		if err := s.durSync(); err != nil {
-			return PromiseResponse{}, fmt.Errorf("core: commit not durable: %w", err)
-		}
-		return PromiseResponse{
-			Correlation: pr.RequestID,
-			Accepted:    true,
-			PromiseID:   confirmed[0].id,
-			Expires:     confirmed[0].expires,
-		}, nil
+	if len(parts) > 1 {
+		resp.PromiseID, resp.Expires = s.registerComposite(client, parts)
 	}
-	id, expires := s.registerComposite(client, confirmed)
 	// The directory add, the migration events and every part commit must be
-	// on stable storage before the composite id is handed out.
+	// on stable storage before the promise id is handed out.
 	if err := s.durSync(); err != nil {
 		return PromiseResponse{}, fmt.Errorf("core: commit not durable: %w", err)
 	}
-	return PromiseResponse{
-		Correlation: pr.RequestID,
-		Accepted:    true,
-		PromiseID:   id,
-		Expires:     expires,
-	}, nil
+	return resp, nil
+}
+
+// rejection returns a shard's rejection under the request's correlation
+// id, or the zero response when there is none.
+func rejection(rej *PromiseResponse, correlation string) PromiseResponse {
+	if rej == nil {
+		return PromiseResponse{}
+	}
+	out := *rej
+	out.Correlation = correlation
+	return out
 }
 
 // contributingShards is the reservation (and, since the lock-set shrink,
@@ -1263,7 +1062,7 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 //
 // Everything else — skew in instance placement being the headline case —
 // shrinks the reservation set to the shards that matter.
-func (s *ShardedManager) contributingShards(pr PromiseRequest, floating []floatPred) map[int]bool {
+func (s *ShardedManager) contributingShards(preds []Predicate, floating []floatPred) map[int]bool {
 	out := make(map[int]bool, len(s.shards))
 	if s.disablePrefilter {
 		for i := range s.shards {
@@ -1271,7 +1070,7 @@ func (s *ShardedManager) contributingShards(pr PromiseRequest, floating []floatP
 		}
 		return out
 	}
-	summaries := make([]*candSummary, len(s.shards))
+	summaries := make([]*NodeSummary, len(s.shards))
 	totalSlots := 0
 	for i, sh := range s.shards {
 		summaries[i] = sh.m.cand.summary.Load()
@@ -1288,47 +1087,20 @@ func (s *ShardedManager) contributingShards(pr PromiseRequest, floating []floatP
 				valuePrune = false
 				break
 			}
-			exprs = append(exprs, pr.Predicates[f.idx].Expr)
+			exprs = append(exprs, preds[f.idx].Expr)
 		}
 	}
+	// A summary with pinned instances past their holder's deadline
+	// under-counts: the reservation-time sweep would free them, so a stale
+	// shard is included (the commit that lapses the holder restores
+	// precision).
 	now := s.clk.Now()
-	for i := range s.shards {
-		sum := summaries[i]
-		// A summary with pinned instances past their holder's deadline
-		// under-counts: the reservation-time sweep would free them, so a
-		// cannot-contribute verdict is no longer trustworthy and the
-		// shard is included (the commit that lapses the holder restores
-		// precision).
-		stale := sum.Pinned > 0 && !now.Before(sum.MinPinnedExpiry)
-		if sum.Slots == 0 && sum.Hostable == 0 && !stale {
-			continue // tier 1: nothing to offer
+	for i, sum := range summaries {
+		if sum.MayContribute(now, exprs, valuePrune) {
+			out[i] = true
 		}
-		if valuePrune && sum.Slots == 0 && !stale {
-			may := false
-			for _, e := range exprs {
-				if m, ok := indexMay(e, sum.ByProp); !ok || m {
-					may = true
-					break
-				}
-			}
-			if !may {
-				continue // tier 2: no hostable instance can satisfy anything requested
-			}
-		}
-		out[i] = true
 	}
 	return out
-}
-
-// releaseParts hands back sub-promises granted earlier in an operation
-// that is now failing, in reverse grant order.
-func (s *ShardedManager) releaseParts(client string, parts []compositePart) {
-	for i := len(parts) - 1; i >= 0; i-- {
-		_, _ = s.shards[parts[i].shard].m.Execute(context.Background(), Request{
-			Client: client,
-			Env:    []EnvEntry{{PromiseID: parts[i].id, Release: true}},
-		})
-	}
 }
 
 // registerComposite records a granted composite promise and returns its id
@@ -1356,48 +1128,6 @@ func (s *ShardedManager) registerComposite(client string, parts []compositePart)
 	return id, expires
 }
 
-// commitMoves records confirmed cross-shard slot migrations: the moved
-// directory re-routes the promise ids from now on, and any composite
-// referencing a migrated part gets a fresh directory entry with the
-// updated shard. Entries are replaced, never mutated: a concurrent
-// lock-free reader holding the old pointer sees a consistent stale part
-// list, runs into promise-not-found on the vacated shard, and retries
-// against the fresh entry. Called only while every shard lock the
-// migration touched is held.
-func (s *ShardedManager) commitMoves(migs []slotMigration) {
-	if len(migs) == 0 {
-		return
-	}
-	s.dirMu.Lock()
-	defer s.dirMu.Unlock()
-	for _, mg := range migs {
-		s.moved.Store(mg.promiseID, mg.to)
-		cid, ok := s.partOf[mg.promiseID]
-		if !ok {
-			continue
-		}
-		v, ok := s.dir.Load(cid)
-		if !ok {
-			continue
-		}
-		old := v.(*composite)
-		fresh := &composite{
-			client:  old.client,
-			expires: old.expires,
-			parts:   append([]compositePart(nil), old.parts...),
-		}
-		for i := range fresh.parts {
-			if fresh.parts[i].id == mg.promiseID {
-				fresh.parts[i].shard = mg.to
-			}
-		}
-		s.dir.Store(cid, fresh)
-	}
-	for _, mg := range migs {
-		s.logDirMove(mg.promiseID, mg.to)
-	}
-}
-
 // GrantBatch grants many independent promise requests for one client under
 // a single acquisition of the ordered shard lock set, batching the
 // single-shard requests into one transaction per shard. Responses line up
@@ -1412,135 +1142,104 @@ func (s *ShardedManager) GrantBatch(ctx context.Context, client string, reqs []P
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	routeAll := func() (involved map[int]bool, perShard map[int][]int, cross []int) {
-		involved = make(map[int]bool)
-		perShard = make(map[int][]int)
+	// Requests routed to one shard batch into one transaction there; the
+	// rest, and any whose named predicates need the global matcher, run
+	// the cross path.
+	var perShard map[int][]int
+	var cross map[int]bool
+	route := func() map[int]bool {
+		involved := make(map[int]bool)
+		perShard, cross = make(map[int][]int), make(map[int]bool)
 		for i, pr := range reqs {
 			set, simple := s.routeRequest(pr)
 			for sh := range set {
 				involved[sh] = true
-			}
-			if simple {
-				for sh := range set {
+				if simple {
 					perShard[sh] = append(perShard[sh], i)
 				}
-			} else {
-				cross = append(cross, i)
+			}
+			if !simple {
+				cross[i] = true
 			}
 		}
-		// As in route(): a widen retry is only safe when nothing committed
-		// before it, so a multi-request batch with a property predicate
-		// takes every lock up front.
-		if len(s.shards) > 1 && len(reqs) > 1 && hasPropertyPred(reqs) {
-			for i := range s.shards {
-				involved[i] = true
-			}
+		if s.needsAllLocks(reqs) {
+			return s.allShards()
 		}
-		return involved, perShard, cross
+		return involved
 	}
-	involved, perShard, cross := routeAll()
+	escalate := func() (needAll bool, err error) {
+		if s.mode != MatchingMode {
+			return false, nil
+		}
+		for i, pr := range reqs {
+			held, err := s.promiseRequestNeedsGlobal(pr)
+			if err != nil {
+				return false, err
+			}
+			if held {
+				// The displaced slot may re-home anywhere, so the request
+				// needs the cross path under every lock.
+				cross[i] = true
+				needAll = true
+			}
+		}
+		return needAll, nil
+	}
+	involved := route()
 	if len(involved) == 0 {
 		return []PromiseResponse{}, nil
 	}
-	// Re-route under the locks, exactly as Execute does, so a composite
-	// release target resolved (or a slot migrated) mid-flight cannot reach
-	// unlocked shards; requests whose named predicates need the global
-	// matcher escalate to the full lock set and the cross path.
-	unlock := s.lockShards(involved)
-retry:
 	for {
-		for {
-			again, perShard2, cross2 := routeAll()
-			if subsetOf(again, involved) {
-				crossSet := make(map[int]bool, len(cross2))
-				for _, idx := range cross2 {
-					crossSet[idx] = true
-				}
-				needAll := false
-				if s.mode == MatchingMode {
-					for i, pr := range reqs {
-						held, err := s.promiseRequestNeedsGlobal(pr)
-						if err != nil {
-							unlock()
-							return nil, err
-						}
-						if held {
-							// The displaced slot may re-home anywhere, so the
-							// request needs the cross path under every lock.
-							crossSet[i] = true
-							needAll = true
-						}
-					}
-				}
-				if !needAll || len(involved) == len(s.shards) {
-					for sh, idxs := range perShard2 {
-						kept := idxs[:0]
-						for _, idx := range idxs {
-							if !crossSet[idx] {
-								kept = append(kept, idx)
-							}
-						}
-						perShard2[sh] = kept
-					}
-					cross2 = sortedKeys(crossSet)
-					perShard, cross = perShard2, cross2
-					break
-				}
-				again = s.allShards()
-			}
-			unlock()
-			for i := range again {
-				involved[i] = true
-			}
-			unlock = s.lockShards(involved)
+		unlock, _, err := s.lockRoute(involved, route, escalate)
+		if err != nil {
+			return nil, err
 		}
-
-		out := make([]PromiseResponse, len(reqs))
-		// On an internal error, grants already committed would be lost to the
-		// caller (it never sees their ids), so they are handed back first.
-		undo := func() {
-			for _, pr := range out {
-				s.releaseGrant(client, pr)
-			}
-		}
-		for _, sh := range sortedKeys(perShard) {
-			idxs := perShard[sh]
-			batch := make([]PromiseRequest, len(idxs))
-			for j, idx := range idxs {
-				batch[j] = reqs[idx]
-			}
-			resps, err := s.shards[sh].m.GrantBatch(ctx, client, batch)
-			if err != nil {
-				undo()
-				unlock()
-				return nil, err
-			}
-			for j, idx := range idxs {
-				out[idx] = resps[j]
-			}
-		}
-		for _, idx := range cross {
-			presp, err := s.grantCross(ctx, client, reqs[idx], involved)
-			if errors.Is(err, errPrefilterWiden) {
-				// The pre-filter flapped past the held lock set (see
-				// grantCross Phase 1): compensate the batch's committed
-				// grants and rerun it whole under every lock.
-				undo()
-				unlock()
-				involved = s.allShards()
-				unlock = s.lockShards(involved)
-				continue retry
-			}
-			if err != nil {
-				undo()
-				unlock()
-				return nil, err
-			}
-			out[idx] = presp
-		}
+		out, err := s.grantBatchLocked(ctx, client, reqs, perShard, cross, involved)
 		unlock()
-		return out, nil
+		if !errors.Is(err, errPrefilterWiden) {
+			return out, err
+		}
+		// The pre-filter flapped past the held lock set (see grantCross
+		// Phase 1): the batch's committed grants were handed back; rerun
+		// it whole under every lock.
+		involved = s.allShards()
 	}
+}
+
+// grantBatchLocked runs one batch under the held lock set: per-shard
+// batches first, then the cross-path requests in order. On any error,
+// grants already committed are handed back first — the caller never sees
+// their ids.
+func (s *ShardedManager) grantBatchLocked(ctx context.Context, client string, reqs []PromiseRequest, perShard map[int][]int, cross map[int]bool, locked map[int]bool) ([]PromiseResponse, error) {
+	out := make([]PromiseResponse, len(reqs))
+	undo := func() { s.releaseGrants(client, out) }
+	for _, sh := range sortedKeys(perShard) {
+		var idxs []int
+		var batch []PromiseRequest
+		for _, idx := range perShard[sh] {
+			if !cross[idx] {
+				idxs = append(idxs, idx)
+				batch = append(batch, reqs[idx])
+			}
+		}
+		resps, err := s.shards[sh].m.GrantBatch(ctx, client, batch)
+		if err != nil {
+			undo()
+			return nil, err
+		}
+		for j, idx := range idxs {
+			out[idx] = resps[j]
+		}
+	}
+	for _, idx := range sortedKeys(cross) {
+		presp, err := s.grantCross(ctx, client, reqs[idx], locked)
+		if err != nil {
+			undo()
+			return nil, err
+		}
+		out[idx] = presp
+	}
+	return out, nil
 }
 
 // Release hands back the named promises atomically, exactly like
@@ -1581,10 +1280,7 @@ func (s *ShardedManager) CheckBatch(ctx context.Context, client string, ids []st
 			out[i] = s.checkComposite(client, id)
 			continue
 		}
-		sh, ok := s.ownerShard(id)
-		if !ok {
-			sh = 0
-		}
+		sh, _ := s.ownerShard(id)
 		perShard[sh] = append(perShard[sh], i)
 	}
 	for attempt := 0; len(perShard) > 0; attempt++ {
@@ -1594,10 +1290,7 @@ func (s *ShardedManager) CheckBatch(ctx context.Context, client string, ids []st
 			unlock := s.lockShards(s.allShards())
 			for _, shIdx := range sortedKeys(perShard) {
 				for _, idx := range perShard[shIdx] {
-					o, ok := s.ownerShard(ids[idx])
-					if !ok {
-						o = 0
-					}
+					o, _ := s.ownerShard(ids[idx])
 					out[idx] = s.shards[o].m.usable(client, ids[idx])
 				}
 			}
@@ -1631,10 +1324,7 @@ func (s *ShardedManager) CheckBatch(ctx context.Context, client string, ids []st
 				// read, the miss is definitive; otherwise re-dispatch, with
 				// the freeze pass settling persistent races.
 				if errors.Is(errs[j], ErrPromiseNotFound) && !s.migrationsQuiescedAt(mseq) {
-					o, ok := s.ownerShard(ids[idx])
-					if !ok {
-						o = 0
-					}
+					o, _ := s.ownerShard(ids[idx])
 					next[o] = append(next[o], idx)
 					continue
 				}
@@ -2029,28 +1719,23 @@ func sortedStringKeys[V any](m map[string]V) []string {
 // CreatePool registers a pool on its owning shard, in a transaction of its
 // own.
 func (s *ShardedManager) CreatePool(id string, onHand int64, props map[string]predicate.Value) error {
-	sh := s.shards[s.ShardOf(id)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	tx := sh.m.Store().Begin(txn.Block)
-	if err := sh.m.Resources().CreatePool(tx, id, onHand, props); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	return sh.m.durSync()
+	return s.create(id, func(m *Manager, tx *txn.Tx) error { return m.Resources().CreatePool(tx, id, onHand, props) })
 }
 
 // CreateInstance registers a named instance on its owning shard, in a
 // transaction of its own.
 func (s *ShardedManager) CreateInstance(id string, props map[string]predicate.Value) error {
+	return s.create(id, func(m *Manager, tx *txn.Tx) error { return m.Resources().CreateInstance(tx, id, props) })
+}
+
+// create runs one resource creation on the shard owning id and makes it
+// durable.
+func (s *ShardedManager) create(id string, fn func(*Manager, *txn.Tx) error) error {
 	sh := s.shards[s.ShardOf(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	tx := sh.m.Store().Begin(txn.Block)
-	if err := sh.m.Resources().CreateInstance(tx, id, props); err != nil {
+	if err := fn(sh.m, tx); err != nil {
 		_ = tx.Abort()
 		return err
 	}

@@ -69,19 +69,19 @@ func auditHealthy(t *testing.T, label string, m *core.Manager) {
 
 // TestThreeTierSupplyChainOverHTTP builds factory → wholesaler → retailer,
 // each in its own HTTP server, with delegation wired through
-// transport.RemoteSupplier. An order at the retailer for more than local
+// promises.EngineSupplier over transport clients. An order at the retailer for more than local
 // stock cascades upstream; fulfilment ships the backorder from the factory.
 func TestThreeTierSupplyChainOverHTTP(t *testing.T) {
 	factory := newTier(t, core.Config{}, func(tx *txn.Tx, m *core.Manager) error {
 		return m.Resources().CreatePool(tx, "widgets", 1000, nil)
 	})
-	factorySup := &transport.RemoteSupplier{C: factory.client("wholesaler")}
+	factorySup := &promises.EngineSupplier{E: factory.client("wholesaler")}
 	wholesaler := newTier(t, core.Config{
 		Suppliers: map[string]core.Supplier{"widgets": factorySup},
 	}, func(tx *txn.Tx, m *core.Manager) error {
 		return m.Resources().CreatePool(tx, "widgets", 20, nil)
 	})
-	wholesalerSup := &transport.RemoteSupplier{C: wholesaler.client("retailer")}
+	wholesalerSup := &promises.EngineSupplier{E: wholesaler.client("retailer")}
 	retailer := newTier(t, core.Config{
 		Suppliers: map[string]core.Supplier{"widgets": wholesalerSup},
 	}, func(tx *txn.Tx, m *core.Manager) error {
@@ -289,10 +289,11 @@ func TestHTTPStampedeRespectsCapacity(t *testing.T) {
 // contended manager: the picky client's wishes degrade until a counter
 // offer closes the deal.
 func TestFacadeNegotiationAgainstLiveContention(t *testing.T) {
-	m, err := promises.New(promises.Config{})
+	eng, err := promises.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := eng.(*promises.Manager)
 	tx := m.Store().Begin(txn.Block)
 	if err := m.Resources().CreatePool(tx, "widgets", 20, nil); err != nil {
 		t.Fatal(err)

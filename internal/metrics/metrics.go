@@ -1,6 +1,6 @@
 // Package metrics provides the lightweight counters and latency histograms
 // used by the benchmark harness (cmd/promise-bench) and by integration tests
-// to report the experiment rows recorded in EXPERIMENTS.md.
+// to report the experiment suite's rows (internal/experiments).
 package metrics
 
 import (

@@ -148,16 +148,19 @@ type LockManager struct {
 	locks map[string]*lockState
 	// held tracks every lock name held per transaction, for ReleaseAll.
 	held map[uint64]map[string]struct{}
-	// waitsFor[t] is the set of transactions t is currently waiting on.
-	waitsFor map[uint64]map[uint64]struct{}
+	// waiting maps each blocked transaction to the lock it is queued on. The
+	// waits-for graph is derived from it and the lock table when a request
+	// blocks (see blockers), never stored, so it cannot go stale when an
+	// upgrade jumps the queue and becomes a holder queued waiters wait on.
+	waiting map[uint64]*lockState
 }
 
 // NewLockManager returns an empty LockManager.
 func NewLockManager() *LockManager {
 	return &LockManager{
-		locks:    make(map[string]*lockState),
-		held:     make(map[uint64]map[string]struct{}),
-		waitsFor: make(map[uint64]map[uint64]struct{}),
+		locks:   make(map[string]*lockState),
+		held:    make(map[uint64]map[string]struct{}),
+		waiting: make(map[uint64]*lockState),
 	}
 }
 
@@ -188,14 +191,15 @@ func (lm *LockManager) Acquire(tx uint64, name string, mode Mode, policy WaitPol
 		lm.mu.Unlock()
 		return ErrWouldBlock
 	}
-	// Enqueue and build waits-for edges to every incompatible holder.
 	w := &waiter{tx: tx, mode: want, ready: make(chan error, 1)}
 	ls.queue = append(ls.queue, w)
-	lm.addWaitEdges(ls, tx, want)
+	lm.waiting[tx] = ls
 	if lm.cycleFrom(tx) {
-		// tx is the victim: remove it from the queue and fail.
+		// tx is the victim: remove it from the queue and fail. Waiters it
+		// held up under strict FIFO may be grantable now.
 		lm.removeWaiter(ls, w)
-		delete(lm.waitsFor, tx)
+		delete(lm.waiting, tx)
+		lm.wake(ls)
 		lm.mu.Unlock()
 		return ErrDeadlock
 	}
@@ -235,24 +239,29 @@ func (lm *LockManager) noteHeld(tx uint64, name string) {
 	set[name] = struct{}{}
 }
 
-// addWaitEdges records that tx waits on all holders incompatible with want
-// and on earlier queued waiters whose requested mode conflicts.
-func (lm *LockManager) addWaitEdges(ls *lockState, tx uint64, want Mode) {
-	edges := lm.waitsFor[tx]
-	if edges == nil {
-		edges = make(map[uint64]struct{})
-		lm.waitsFor[tx] = edges
+// blockers lists the transactions tx is waiting on, read off the lock
+// table: the holders of the lock tx is queued on whose modes conflict with
+// its request, and every waiter queued ahead of it — wake is strict FIFO,
+// so an earlier waiter blocks tx even when their modes are compatible.
+// A transaction that is not waiting has no blockers.
+func (lm *LockManager) blockers(tx uint64) []uint64 {
+	ls := lm.waiting[tx]
+	if ls == nil {
+		return nil
 	}
-	for other, m := range ls.granted {
-		if other != tx && !compatible(m, want) {
-			edges[other] = struct{}{}
-		}
-	}
+	var out []uint64
 	for _, w := range ls.queue {
-		if w.tx != tx && !compatible(w.mode, want) {
-			edges[w.tx] = struct{}{}
+		if w.tx == tx {
+			for other, m := range ls.granted {
+				if other != tx && !compatible(m, w.mode) {
+					out = append(out, other)
+				}
+			}
+			break
 		}
+		out = append(out, w.tx)
 	}
+	return out
 }
 
 // cycleFrom reports whether the waits-for graph has a cycle reachable from
@@ -261,7 +270,7 @@ func (lm *LockManager) cycleFrom(start uint64) bool {
 	seen := make(map[uint64]bool)
 	var dfs func(u uint64) bool
 	dfs = func(u uint64) bool {
-		for v := range lm.waitsFor[u] {
+		for _, v := range lm.blockers(u) {
 			if v == start {
 				return true
 			}
@@ -293,7 +302,6 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 	defer lm.mu.Unlock()
 	names := lm.held[tx]
 	delete(lm.held, tx)
-	delete(lm.waitsFor, tx)
 	for name := range names {
 		ls := lm.locks[name]
 		if ls == nil {
@@ -304,14 +312,6 @@ func (lm *LockManager) ReleaseAll(tx uint64) {
 		if len(ls.granted) == 0 && len(ls.queue) == 0 {
 			delete(lm.locks, name)
 		}
-	}
-	// tx may also appear as a blocker in other transactions' edges; those
-	// edges are now stale. They are rebuilt lazily: a stale edge can only
-	// delay deadlock detection of future cycles, not cause a false positive,
-	// because wake() below re-grants whatever became available. To keep the
-	// graph tight we scrub tx from all edge sets.
-	for _, edges := range lm.waitsFor {
-		delete(edges, tx)
 	}
 }
 
@@ -337,7 +337,7 @@ func (lm *LockManager) wake(ls *lockState) {
 		ls.queue = ls.queue[1:]
 		ls.granted[w.tx] = want
 		lm.noteHeld(w.tx, ls.name)
-		delete(lm.waitsFor, w.tx)
+		delete(lm.waiting, w.tx)
 		w.ready <- nil
 	}
 }

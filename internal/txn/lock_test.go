@@ -255,3 +255,93 @@ func TestIntentionLocksAllowDisjointRowWriters(t *testing.T) {
 		t.Fatalf("scan during writes: want ErrWouldBlock, got %v", err)
 	}
 }
+
+// waitQueued blocks until tx is queued on some lock, so a test can order
+// steps deterministically around a goroutine parked in Acquire.
+func waitQueued(t *testing.T, lm *LockManager, tx uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		lm.mu.Lock()
+		_, queued := lm.waiting[tx]
+		lm.mu.Unlock()
+		if queued {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("tx %d never queued", tx)
+}
+
+// acquireOrHang runs one Acquire that must return promptly, failing the
+// test instead of hanging it when the lock manager misses a deadlock.
+func acquireOrHang(t *testing.T, lm *LockManager, tx uint64, name string, mode Mode) error {
+	t.Helper()
+	got := make(chan error, 1)
+	go func() { got <- lm.Acquire(tx, name, mode, Block) }()
+	select {
+	case err := <-got:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("tx %d blocked forever on %s: undetected deadlock", tx, name)
+		return nil
+	}
+}
+
+// TestDeadlockThroughQueueJumpingUpgrade pins a cycle closed by an upgrade:
+// the upgrade jumps the queue, so the queued waiter ends up waiting on a
+// holder that was not there when it blocked.
+func TestDeadlockThroughQueueJumpingUpgrade(t *testing.T) {
+	lm := NewLockManager()
+	for _, step := range []struct {
+		tx   uint64
+		name string
+		mode Mode
+	}{{1, "a", IX}, {2, "b", X}, {5, "a", IS}} {
+		if err := lm.Acquire(step.tx, step.name, step.mode, NoWait); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t2 := make(chan error, 1)
+	go func() { t2 <- lm.Acquire(2, "a", S, Block) }() // blocked by T1's IX
+	waitQueued(t, lm, 2)
+	if err := lm.Acquire(5, "a", IX, NoWait); err != nil { // upgrade jumps T2
+		t.Fatalf("upgrade: %v", err)
+	}
+	lm.ReleaseAll(1) // T2 now waits on T5 alone
+	if err := acquireOrHang(t, lm, 5, "b", X); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("T5 on b: want ErrDeadlock, got %v", err)
+	}
+	lm.ReleaseAll(5)
+	if err := <-t2; err != nil {
+		t.Fatalf("T2 after victim abort: %v", err)
+	}
+}
+
+// TestDeadlockThroughFIFOQueue pins a cycle through a compatible earlier
+// waiter: wake is strict FIFO, so a request queued behind a blocked waiter
+// waits on it even when their modes are compatible.
+func TestDeadlockThroughFIFOQueue(t *testing.T) {
+	lm := NewLockManager()
+	if err := lm.Acquire(1, "a", IX, NoWait); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(3, "b", X, NoWait); err != nil {
+		t.Fatal(err)
+	}
+	t2 := make(chan error, 1)
+	go func() { t2 <- lm.Acquire(2, "a", S, Block) }() // blocked by T1's IX
+	waitQueued(t, lm, 2)
+	t3 := make(chan error, 1)
+	go func() { t3 <- lm.Acquire(3, "a", IS, Block) }() // behind T2 in FIFO order
+	waitQueued(t, lm, 3)
+	if err := acquireOrHang(t, lm, 1, "b", X); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("T1 on b: want ErrDeadlock, got %v", err)
+	}
+	lm.ReleaseAll(1)
+	for _, ch := range []chan error{t2, t3} {
+		if err := <-ch; err != nil {
+			t.Fatalf("waiter after victim abort: %v", err)
+		}
+	}
+}

@@ -12,10 +12,7 @@ import (
 
 func seedHotelAndStock(t *testing.T) *promises.Manager {
 	t.Helper()
-	m, err := promises.New(promises.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := openManager(t)
 	tx := m.Store().Begin(txn.Block)
 	rm := m.Resources()
 	if err := rm.CreatePool(tx, "widgets", 10, nil); err != nil {

@@ -188,10 +188,8 @@ func WithHTTPClient(h *http.Client) Option { return func(o *options) { o.httpCli
 // single-store manager (fresh store and resource manager); WithShards(n)
 // stripes state across n shards; WithRemote(url) returns a wire client for
 // a running daemon. All three satisfy Engine, so everything downstream of
-// Open is deployment-agnostic.
-//
-// Open replaces the former Config/ShardedConfig constructors; New and
-// NewSharded remain as deprecated shims over the same machinery.
+// Open is deployment-agnostic; callers that need the concrete engine
+// type-assert to *Manager or *ShardedManager.
 func Open(opts ...Option) (Engine, error) {
 	var o options
 	for _, opt := range opts {

@@ -10,12 +10,20 @@ import (
 	"repro/promises"
 )
 
-func newSeeded(t *testing.T) *promises.Manager {
+// openManager opens the single-store engine and returns its concrete
+// manager, for tests that seed and act through its store.
+func openManager(t *testing.T) *promises.Manager {
 	t.Helper()
-	m, err := promises.New(promises.Config{})
+	eng, err := promises.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng.(*promises.Manager)
+}
+
+func newSeeded(t *testing.T) *promises.Manager {
+	t.Helper()
+	m := openManager(t)
 	tx := m.Store().Begin(txn.Block)
 	if err := m.Resources().CreatePool(tx, "pink-widgets", 10, nil); err != nil {
 		t.Fatal(err)
@@ -104,10 +112,12 @@ func TestFacadeClocks(t *testing.T) {
 	}
 }
 
-// ExampleNew demonstrates the Figure 1 ordering flow through the public
-// API.
-func ExampleNew() {
-	m, _ := promises.New(promises.Config{})
+// ExampleManager demonstrates the Figure 1 ordering flow on the concrete
+// single-store manager, whose actions run as in-process functions under
+// its transaction.
+func ExampleManager() {
+	eng, _ := promises.Open()
+	m := eng.(*promises.Manager)
 	tx := m.Store().Begin(txn.Block)
 	_ = m.Resources().CreatePool(tx, "pink-widgets", 10, nil)
 	_ = tx.Commit()
